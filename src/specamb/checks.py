@@ -273,7 +273,7 @@ def check_closed_form_agreement(
     base: float = 2.0,
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
 ) -> CheckResult:
-    """The cover-difference shortcut matches the recursive inversion."""
+    """The cover-difference shortcut matches the engine's increments."""
     table = _table(dist, table, base, max_predictors)
     lattice = table.lattice
     worst = 0.0
@@ -293,7 +293,7 @@ def check_closed_form_agreement(
                 abs(closed_form_partial(lattice, node, h_minus) - rows[node].pi_minus),
             )
     return _result("closed-form-agreement", worst, tol,
-                   "direct increment vs recursive inversion")
+                   "direct increment vs engine increment")
 
 
 def check_pointwise_sums(

@@ -21,6 +21,7 @@ from typing import Optional
 
 import click
 
+import specamb
 from specamb import corpus as corpus_mod
 from specamb.checks import run_all
 from specamb.decomposition import decompose as decompose_table
@@ -94,7 +95,7 @@ def with_options(options):
 
 
 @click.group()
-@click.version_option(package_name="specamb")
+@click.version_option(version=specamb.__version__)
 def main() -> None:
     """Pointwise decomposition of multivariate information."""
 
@@ -111,22 +112,18 @@ def main() -> None:
               default="csv", show_default=True)
 @click.option("--base", default=2.0, show_default=True,
               help="Logarithm base for all information values.")
-@click.option("--jobs", default=1, show_default=True,
-              help="Worker threads for per-realisation evaluation.")
 @click.option("--lattice-cap", default=DEFAULT_MAX_PREDICTORS, show_default=True,
               help="Largest predictor count to enumerate a lattice for.")
 @click.option("--out", default=None, type=click.Path(),
               help="Write the artifact to a file instead of standard output.")
 def decompose_cmd(corpus_name, input_path, epsilon, targets, pointwise_only,
-                  average_only, fmt, base, jobs, lattice_cap, out) -> None:
+                  average_only, fmt, base, lattice_cap, out) -> None:
     """Decompose a distribution into per-node information atoms."""
     dist = _load(corpus_name, input_path, epsilon)
     try:
         if targets is not None:
             dist = dist.compose_targets(tuple(targets.split(",")))
-        table = decompose_table(
-            dist, base=base, max_predictors=lattice_cap, jobs=jobs
-        )
+        table = decompose_table(dist, base=base, max_predictors=lattice_cap)
     except DistributionError as exc:
         _fail(str(exc))
     which = "both"

@@ -5,8 +5,15 @@ The pipeline runs twice per support row, once for each half of the
 
 1. the redundancy a node carries is the *minimum* specificity (or
    ambiguity) over its member source events,
-2. Moebius inversion over the lattice turns these cumulative node values
-   into per-node increments ``pi_plus`` and ``pi_minus``,
+2. a threshold sweep turns these cumulative node values into per-node
+   increments ``pi_plus`` and ``pi_minus``: the sources are ranked by
+   their exact probabilities, and for each distinct value the sources at
+   least that surprising form an up-set, which is the up-closure of
+   exactly one node.  That node receives the gap to the previous value,
+   so at most ``2**n - 1`` nodes per side are nonzero, all on one chain,
+   and every other node gets an exact zero.  This is the Moebius
+   inversion of a minimum-form measure, without the lattice-wide
+   subtraction (:meth:`Lattice.mobius_invert` remains as an oracle),
 3. the recombined increment ``pi = pi_plus - pi_minus`` is the signed
    share of pointwise mutual information unique to that node.
 
@@ -25,18 +32,17 @@ functions, since they are the load-bearing consistency properties of the
 construction.
 
 Probabilities are compared as exact rationals and only the final value
-takes a logarithm, so the minimum in step 1 and every equality the reports
-check are immune to float noise.
+takes a logarithm, so the minimum in step 1, the ranking and ties in
+step 2 and every equality the reports check are immune to float noise.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from types import MappingProxyType
 from typing import Union
 
@@ -52,6 +58,7 @@ from specamb.lattice import (
     Lattice,
     LatticeNode,
     lattice_for,
+    source_bit,
 )
 from specamb.measures import InfoValue
 
@@ -320,18 +327,22 @@ class AtomTable:
                 + ["node", "atom", *value_names]
             )
             lines = [",".join(_csv_cell(h) for h in header)]
+            node_cells = [
+                _csv_cell(str(node)) + "," + _csv_cell(labels.get(node, ""))
+                for node in self.nodes
+            ]
             for realisation, rows in self.pointwise.items():
-                for node in self.nodes:
-                    row = rows[node]
-                    cells = [
+                prefix = ",".join(
+                    _csv_cell(c)
+                    for c in (
                         str(realisation.p),
                         *realisation.predictors,
                         _target_cell(self.dist, realisation, self.target_components, self.given_components),
-                        str(node),
-                        labels.get(node, ""),
-                        *(_fmt(v) for v in _row_values(row)),
-                    ]
-                    lines.append(",".join(_csv_cell(c) for c in cells))
+                    )
+                )
+                for node, node_cell in zip(self.nodes, node_cells):
+                    values = ",".join(_fmt(v) for v in _row_values(rows[node]))
+                    lines.append(f"{prefix},{node_cell},{values}")
             blocks.append("\n".join(lines))
         if which in ("average", "both"):
             lines = [",".join(["node", "atom", *value_names])]
@@ -431,13 +442,47 @@ def _clamp(x: float, active: bool) -> float:
     return x
 
 
+def _sweep(
+    probs: Sequence[Fraction],
+    bits: Sequence[int],
+    members: Sequence[Sequence[int]],
+    node_at: Mapping[int, int],
+    base: float,
+) -> tuple[list[float], list[float]]:
+    """Cumulative values and increments of one side at one realisation.
+
+    ``probs[i]`` is the probability of source ``i`` and ``bits[i]`` its bit
+    in the lattice's closure masks; ``members[j]`` lists the sources of
+    node ``j`` and ``node_at`` maps a closure mask to its node.  Sources are
+    ranked on the exact probabilities, so ties stay exact and each node's
+    value is the surprisal of its best-ranked member.
+    """
+    order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
+    rank = [0] * len(probs)
+    values: list[float] = []
+    increments = [0.0] * len(members)
+    surviving = sum(bits)
+    previous = 0.0
+    for k, (p, group) in enumerate(groupby(order, probs.__getitem__)):
+        value = _surprisal(p, base)
+        # The sources left are those at least this surprising: an up-set,
+        # hence the closure of one node, which carries the whole step.
+        increments[node_at[surviving]] = value - previous
+        values.append(value)
+        previous = value
+        for i in group:
+            rank[i] = k
+            surviving &= ~bits[i]
+    cumulative = [values[min(map(rank.__getitem__, m))] for m in members]
+    return cumulative, increments
+
+
 def decompose(
     dist: JointDistribution,
     *,
     given: Sequence[str] = (),
     base: float = 2.0,
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
-    jobs: int = 1,
 ) -> AtomTable:
     """Full pointwise decomposition of ``i(s1..sn; t | given)`` plus averages.
 
@@ -484,53 +529,50 @@ def decompose(
             joint_sel[a][key_sel] = joint_sel[a].get(key_sel, Fraction(0)) + row.p
             joint_giv[a][key_giv] = joint_giv[a].get(key_giv, Fraction(0)) + row.p
 
-    def solve(realisation: Realisation) -> dict[LatticeNode, AtomRow]:
+    # The sweep works on integer positions: sources by their place in
+    # ``all_sources``, nodes by their place in ``lattice.nodes``.
+    position = {a: i for i, a in enumerate(all_sources)}
+    bits = [source_bit(a) for a in all_sources]
+    members = [tuple(position[a] for a in node.sources) for node in lattice.nodes]
+    node_at = {lattice.closure_mask(node): j for j, node in enumerate(lattice.nodes)}
+
+    def solve(realisation: Realisation) -> list[AtomRow]:
         sel_labels = tuple(realisation.target[k] for k in sel_slots)
         giv_labels = tuple(realisation.target[k] for k in giv_slots)
-        p_plus: dict[SourceEvent, Fraction] = {}
-        p_minus: dict[SourceEvent, Fraction] = {}
+        p_plus: list[Fraction] = []
+        p_minus: list[Fraction] = []
         for a in all_sources:
             labels = realisation.source_labels(a)
-            p_plus[a] = joint_giv[a][(labels, giv_labels)] / mass_giv[giv_labels]
-            p_minus[a] = (
+            p_plus.append(joint_giv[a][(labels, giv_labels)] / mass_giv[giv_labels])
+            p_minus.append(
                 joint_sel[a][(labels, sel_labels + giv_labels)]
                 / mass_sel[sel_labels + giv_labels]
             )
-        cum_plus = {
-            node: _surprisal(max(p_plus[a] for a in node.sources), base)
-            for node in lattice.nodes
-        }
-        cum_minus = {
-            node: _surprisal(max(p_minus[a] for a in node.sources), base)
-            for node in lattice.nodes
-        }
-        pi_plus = lattice.mobius_invert(cum_plus)
-        pi_minus = lattice.mobius_invert(cum_minus)
-        rows: dict[LatticeNode, AtomRow] = {}
-        for node in lattice.nodes:
-            plus = _clamp(pi_plus[node], clamp_active)
-            minus = _clamp(pi_minus[node], clamp_active)
-            rows[node] = AtomRow(
-                r_plus=cum_plus[node],
-                r_minus=cum_minus[node],
-                pi_plus=plus,
-                pi_minus=minus,
-                pi=_clamp(plus - minus, clamp_active),
+        cum_plus, pi_plus = _sweep(p_plus, bits, members, node_at, base)
+        cum_minus, pi_minus = _sweep(p_minus, bits, members, node_at, base)
+        rows: list[AtomRow] = []
+        for r_plus, r_minus, plus, minus in zip(cum_plus, cum_minus, pi_plus, pi_minus):
+            plus = _clamp(plus, clamp_active)
+            minus = _clamp(minus, clamp_active)
+            rows.append(
+                AtomRow(
+                    r_plus=r_plus,
+                    r_minus=r_minus,
+                    pi_plus=plus,
+                    pi_minus=minus,
+                    pi=_clamp(plus - minus, clamp_active),
+                )
             )
         return rows
 
     support = dist.support
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve, support))
-    else:
-        solved = [solve(r) for r in support]
-    pointwise = dict(zip(support, solved))
+    solved = [solve(r) for r in support]
+    pointwise = {r: dict(zip(lattice.nodes, rows)) for r, rows in zip(support, solved)}
 
+    weights = [float(r.p) for r in support]
     averages: dict[LatticeNode, AtomRow] = {}
-    for node in lattice.nodes:
-        weights = [float(r.p) for r in support]
-        cells = [pointwise[r][node] for r in support]
+    for j, node in enumerate(lattice.nodes):
+        cells = [rows[j] for rows in solved]
         averages[node] = AtomRow(
             *(
                 _clamp(

@@ -11,13 +11,16 @@ so the bottom node is the antichain of all singletons and the top node is
 the decomposition machinery needs.
 
 Moebius inversion on this lattice turns a cumulative node measure into
-per-node increments.  Two independent routes are provided on purpose:
+per-node increments.  The decomposition engine does not call it: its
+measures are minima of per-member values, whose increments it reads off a
+sorted threshold sweep (see :mod:`specamb.decomposition`).  Two
+independent routes stay here as oracles for that sweep:
 :meth:`Lattice.mobius_invert` subtracts the full strict down-set
 recursively, while :func:`closed_form_partial` evaluates the direct
 formula (minimum over members, then subtract the maximum over lower
 covers).  The closed form is only valid for measures that are minima of
-per-member values, which is exactly the shape the decomposition uses; the
-recursive route has no such restriction.  Tests compare the two.
+per-member values; the recursive route has no such restriction.  Tests
+and the ``verify`` checks compare them with the engine.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "meet",
     "closed_form_partial",
     "lattice_for",
+    "source_bit",
 ]
 
 DEFAULT_MAX_PREDICTORS = 4
@@ -86,6 +90,19 @@ class LatticeNode:
 
 def _source_key(source: SourceEvent) -> tuple[int, tuple[int, ...]]:
     return (len(source.indices), source.indices)
+
+
+def _predictor_mask(source: SourceEvent) -> int:
+    return sum(1 << (index - 1) for index in source.indices)
+
+
+def source_bit(source: SourceEvent) -> int:
+    """The bit that stands for ``source`` in a node's up-closure mask.
+
+    Bit ``s`` is the subset whose predictor bitmask is ``s`` (predictor
+    ``i`` is bit ``i - 1``); see :class:`Lattice`.
+    """
+    return 1 << _predictor_mask(source)
 
 
 def node_leq(alpha: LatticeNode, beta: LatticeNode) -> bool:
@@ -175,10 +192,7 @@ class Lattice:
         for node in unordered:
             closure = 0
             for member in node.sources:
-                bits = 0
-                for index in member.indices:
-                    bits |= 1 << (index - 1)
-                closure |= sup[bits]
+                closure |= sup[_predictor_mask(member)]
             umask[node] = closure
         # Strictly lower nodes have strictly larger closures, so closure
         # size (descending) is a linear extension key.
@@ -228,6 +242,17 @@ class Lattice:
         self._check(alpha)
         self._check(beta)
         return self._umask[beta] & ~self._umask[alpha] == 0
+
+    def closure_mask(self, node: LatticeNode) -> int:
+        """The up-closure of ``node``'s members, one bit per source event.
+
+        Bits follow :func:`source_bit`.  The mask is the set of sources
+        with a member of ``node`` inside them, so distinct nodes have
+        distinct masks, and every nonempty up-set of sources is the mask
+        of exactly one node.
+        """
+        self._check(node)
+        return self._umask[node]
 
     def down_set(self, node: LatticeNode) -> frozenset[LatticeNode]:
         """Every node below or equal to ``node``."""

@@ -35,13 +35,6 @@ class TestDecompose:
         args = ("decompose", "--corpus", "and", "--format", "json")
         assert invoke(runner, *args).output == invoke(runner, *args).output
 
-    def test_jobs_flag_matches_serial(self, runner):
-        base = ("decompose", "--corpus", "tbc")
-        assert (
-            invoke(runner, *base, "--jobs", "4").output
-            == invoke(runner, *base).output
-        )
-
     def test_json_payload(self, runner):
         result = invoke(runner, "decompose", "--corpus", "unq", "--format", "json")
         payload = json.loads(result.output)

@@ -107,10 +107,6 @@ class TestDecompose:
                 assert row.pi_minus == 0.0
                 assert not str(row.pi_minus).startswith("-")
 
-    def test_thread_pool_matches_serial(self):
-        dist = build("and")
-        assert decompose(dist, jobs=4).to_csv() == decompose(dist).to_csv()
-
     def test_lattice_cap_guard(self):
         rows = [("1/32", tuple(f"{b:05b}"), f"{b % 2}") for b in range(32)]
         dist = JointDistribution.from_rows(
