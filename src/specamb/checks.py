@@ -140,14 +140,14 @@ def check_member_permutation(
     worst = 0.0
     for realisation in dist.support:
         for node in lattice.nodes:
+            plus = rmin_specificity(dist, node, realisation, base=base)
+            minus = rmin_ambiguity(dist, node, realisation, base=base)
             members = list(node.sources)
             for perm in (list(reversed(members)), members[1:] + members[:1]):
                 worst = max(
                     worst,
-                    abs(rmin_specificity(dist, perm, realisation, base=base)
-                        - rmin_specificity(dist, node, realisation, base=base)),
-                    abs(rmin_ambiguity(dist, perm, realisation, base=base)
-                        - rmin_ambiguity(dist, node, realisation, base=base)),
+                    abs(rmin_specificity(dist, perm, realisation, base=base) - plus),
+                    abs(rmin_ambiguity(dist, perm, realisation, base=base) - minus),
                 )
     return _result("member-permutation", worst, tol, "reversed and rotated members")
 
@@ -166,12 +166,12 @@ def check_superset_irrelevance(
     for realisation in dist.support:
         for node in lattice.nodes:
             padded = list(node.sources) + [full]
+            plus = rmin_specificity(dist, node, realisation, base=base)
+            minus = rmin_ambiguity(dist, node, realisation, base=base)
             worst = max(
                 worst,
-                abs(rmin_specificity(dist, padded, realisation, base=base)
-                    - rmin_specificity(dist, node, realisation, base=base)),
-                abs(rmin_ambiguity(dist, padded, realisation, base=base)
-                    - rmin_ambiguity(dist, node, realisation, base=base)),
+                abs(rmin_specificity(dist, padded, realisation, base=base) - plus),
+                abs(rmin_ambiguity(dist, padded, realisation, base=base) - minus),
             )
     return _result("superset-irrelevance", worst, tol,
                    "every node padded with the full predictor event")

@@ -31,9 +31,14 @@ and the two-event target coarsening invariance are exposed as report
 functions, since they are the load-bearing consistency properties of the
 construction.
 
-Probabilities are compared as exact rationals and only the final value
-takes a logarithm, so the minimum in step 1, the ranking and ties in
-step 2 and every equality the reports check are immune to float noise.
+Every probability comes from the distribution's exact marginal layer
+(:meth:`JointDistribution.conditional_masses`): the engine, the
+``rmin_*`` functions and both reports read the same memoised
+conditional tables, so a value is divided out once per distribution,
+not once per query.  Probabilities are compared as exact rationals and
+only the final value takes a logarithm, so the minimum in step 1, the
+ranking and ties in step 2 and every equality the reports check are
+immune to float noise.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from specamb.lattice import (
     lattice_for,
     source_bit,
 )
-from specamb.measures import InfoValue
+from specamb.measures import InfoValue, log_of, validate_base
 
 __all__ = [
     "AtomRow",
@@ -92,44 +97,40 @@ class AtomRow:
     pi: float
 
 
-def _surprisal(p: Fraction, base: float) -> float:
-    if p <= 0:
-        raise MassError("surprisal of a zero-probability event")
-    if base == 2.0:
-        return -math.log2(p)
-    return -math.log2(p) / math.log2(base)
+def _component_slots(dist: JointDistribution, names: Sequence[str]) -> tuple[int, ...]:
+    """Sorted target-event slots of already resolved component names.
 
-
-def _component_slot(dist: JointDistribution, name: str) -> int:
-    """Index of a target component within the stored target event tuple."""
+    This is the order projections take; a scalar target is its own single
+    component, in slot 0.
+    """
     schema = dist.schema
     if schema.target_components is None:
-        if name != schema.target:
-            raise SchemaError(f"unknown target component {name!r}")
-        return 0
-    return schema.component_index(name)
+        return (0,) if names else ()
+    return tuple(sorted({schema.component_index(name) for name in names}))
 
 
-def _member_probability(
+def _rmin(
     dist: JointDistribution,
-    source: SourceEvent,
+    sources: Union[LatticeNode, Iterable[SourceEvent]],
     realisation: Realisation,
     conditioning: Sequence[str],
-) -> Fraction:
-    """P(source event | realised conditioning components), exactly."""
-    event: dict[str, object] = {
-        dist.schema.predictors[i - 1]: label
-        for i, label in zip(source.indices, realisation.source_labels(source))
-    }
-    if not conditioning:
-        return dist.probability(event)
-    given = {
-        name: realisation.target[_component_slot(dist, name)] for name in conditioning
-    }
-    denom = dist.probability(given)
-    if denom == 0:
-        raise MassError(f"conditioning event {given!r} has zero probability")
-    return dist.probability({**event, **given}) / denom
+    base: float,
+) -> float:
+    """Surprisal of the most probable member given the realised ``conditioning``.
+
+    Each member's probability is one lookup in the distribution's
+    conditional table for that member and the conditioning components.
+    """
+    slots = _component_slots(dist, conditioning)
+    given = tuple(realisation.target[k] for k in slots)
+    try:
+        best = max(
+            dist.conditional_masses(a.indices, slots)[realisation.source_labels(a) + given]
+            for a in _sources_of(sources)
+        )
+    except KeyError:
+        raise MassError(f"realisation {realisation.outcome!r} is not in the support") from None
+    return -log_of(best, base)
 
 
 def _component_names(dist: JointDistribution) -> tuple[str, ...]:
@@ -180,11 +181,8 @@ def rmin_specificity(
     ``given`` names target components to condition on; without them the
     value is target-independent.
     """
-    given = _resolve_components(dist, given)
-    best = max(
-        _member_probability(dist, a, realisation, given) for a in _sources_of(sources)
-    )
-    return _surprisal(best, base)
+    validate_base(base)
+    return _rmin(dist, sources, realisation, _resolve_components(dist, given), base)
 
 
 def rmin_ambiguity(
@@ -204,14 +202,10 @@ def rmin_ambiguity(
     towards one component given the rest equals the plain form towards
     their union.
     """
+    validate_base(base)
     sel = _resolve_components(dist, components)
     giv = _resolve_components(dist, given)
-    conditioning = tuple(dict.fromkeys(tuple(sel) + tuple(giv)))
-    best = max(
-        _member_probability(dist, a, realisation, conditioning)
-        for a in _sources_of(sources)
-    )
-    return _surprisal(best, base)
+    return _rmin(dist, sources, realisation, sel + giv, base)
 
 
 def node_redundancy(
@@ -464,7 +458,7 @@ def _sweep(
     surviving = sum(bits)
     previous = 0.0
     for k, (p, group) in enumerate(groupby(order, probs.__getitem__)):
-        value = _surprisal(p, base)
+        value = -log_of(p, base)
         # The sources left are those at least this surprising: an up-set,
         # hence the closure of one node, which carries the whole step.
         increments[node_at[surviving]] = value - previous
@@ -491,8 +485,7 @@ def decompose(
     rational input mode, increments within 1e-12 of zero are reported as
     exact zeros.
     """
-    if dist.schema.target is None:
-        raise SchemaError("this distribution has no target to decompose against")
+    validate_base(base)
     available = _component_names(dist)
     given = _resolve_components(dist, tuple(given))
     target_components = tuple(name for name in available if name not in given)
@@ -501,33 +494,17 @@ def decompose(
     lattice = lattice_for(dist.n, max_predictors)
     clamp_active = dist.mode == "rational"
 
-    # One pass over the support per predictor subset builds every joint
-    # mass the per-realisation conditionals can ask for.
     all_sources = [
         SourceEvent(c)
         for size in range(1, dist.n + 1)
         for c in combinations(range(1, dist.n + 1), size)
     ]
-    sel_slots = tuple(_component_slot(dist, name) for name in target_components)
-    giv_slots = tuple(_component_slot(dist, name) for name in given)
-
-    joint_sel: dict[SourceEvent, dict[tuple, Fraction]] = {a: {} for a in all_sources}
-    joint_giv: dict[SourceEvent, dict[tuple, Fraction]] = {a: {} for a in all_sources}
-    mass_sel: dict[tuple, Fraction] = {}
-    mass_giv: dict[tuple, Fraction] = {}
-    for row in dist.support:
-        sel_labels = tuple(row.target[k] for k in sel_slots)
-        giv_labels = tuple(row.target[k] for k in giv_slots)
-        mass_sel[sel_labels + giv_labels] = (
-            mass_sel.get(sel_labels + giv_labels, Fraction(0)) + row.p
-        )
-        mass_giv[giv_labels] = mass_giv.get(giv_labels, Fraction(0)) + row.p
-        for a in all_sources:
-            labels = row.source_labels(a)
-            key_sel = (labels, sel_labels + giv_labels)
-            key_giv = (labels, giv_labels)
-            joint_sel[a][key_sel] = joint_sel[a].get(key_sel, Fraction(0)) + row.p
-            joint_giv[a][key_giv] = joint_giv[a].get(key_giv, Fraction(0)) + row.p
+    # Specificity conditions on the held components, ambiguity on every
+    # component; one conditional table per source and side.
+    plus_slots = _component_slots(dist, given)
+    minus_slots = _component_slots(dist, available)
+    plus_tables = [dist.conditional_masses(a.indices, plus_slots) for a in all_sources]
+    minus_tables = [dist.conditional_masses(a.indices, minus_slots) for a in all_sources]
 
     # The sweep works on integer positions: sources by their place in
     # ``all_sources``, nodes by their place in ``lattice.nodes``.
@@ -537,17 +514,11 @@ def decompose(
     node_at = {lattice.closure_mask(node): j for j, node in enumerate(lattice.nodes)}
 
     def solve(realisation: Realisation) -> list[AtomRow]:
-        sel_labels = tuple(realisation.target[k] for k in sel_slots)
-        giv_labels = tuple(realisation.target[k] for k in giv_slots)
-        p_plus: list[Fraction] = []
-        p_minus: list[Fraction] = []
-        for a in all_sources:
-            labels = realisation.source_labels(a)
-            p_plus.append(joint_giv[a][(labels, giv_labels)] / mass_giv[giv_labels])
-            p_minus.append(
-                joint_sel[a][(labels, sel_labels + giv_labels)]
-                / mass_sel[sel_labels + giv_labels]
-            )
+        plus_labels = tuple(realisation.target[k] for k in plus_slots)
+        minus_labels = tuple(realisation.target[k] for k in minus_slots)
+        labels = [realisation.source_labels(a) for a in all_sources]
+        p_plus = [table[own + plus_labels] for table, own in zip(plus_tables, labels)]
+        p_minus = [table[own + minus_labels] for table, own in zip(minus_tables, labels)]
         cum_plus, pi_plus = _sweep(p_plus, bits, members, node_at, base)
         cum_minus, pi_minus = _sweep(p_minus, bits, members, node_at, base)
         rows: list[AtomRow] = []
@@ -609,6 +580,7 @@ def target_chain_rule_report(
     the joint of the listed components must equal the telescoping sum of
     conditional redundancies, for this and any other ordering.
     """
+    validate_base(base)
     order = _resolve_components(dist, tuple(order))
     if not order:
         raise SchemaError("the chain rule needs at least one target component")
@@ -662,15 +634,21 @@ def coarsening_invariance_report(
     on the coarsened distribution.  The worst absolute difference is
     reported; the specificity side cannot move at all (the predictor
     marginal is untouched) and the ambiguity side conditions on an event
-    of identical mass.
+    of identical mass.  Rows that share a target event share one
+    coarsened distribution, and so its marginal tables.
     """
+    validate_base(base)
     if dist.schema.target is None:
         raise SchemaError("this distribution has no target to coarsen")
     lattice = lattice_for(dist.n, max_predictors)
+    coarsened = {
+        event: dist.coarsen_target_to_two_events(event)
+        for event in dict.fromkeys(row.target for row in dist.support)
+    }
     residuals: dict[tuple[Realisation, LatticeNode], float] = {}
     worst = 0.0
     for realisation in dist.support:
-        coarse = dist.coarsen_target_to_two_events(realisation.target)
+        coarse = coarsened[realisation.target]
         kept_label = ",".join(realisation.target)
         coarse_real = coarse.realisation(realisation.predictors, kept_label)
         for node in lattice.nodes:

@@ -20,6 +20,15 @@ Data model
   error.
 * Distributions are immutable.  All transforms (:meth:`~JointDistribution.marginal`,
   :meth:`~JointDistribution.condition`, and friends) return new objects.
+* Every probability is read off one exact marginal layer.  A *projection*
+  is a tuple of predictor positions plus a tuple of target-component
+  slots; the first query on a projection sums the support once into a
+  table with the mass of every realised label combination, and a
+  conditional view divides each of those masses once by the mass of its
+  component labels.  Both are kept on the distribution, at most one
+  table per projection and one entry per support row, and serve
+  :meth:`~JointDistribution.probability`, the decomposition engine, its
+  reports and the checks alike.
 
 Two ingestion modes are tracked.  In ``rational`` mode (probability tokens
 like ``1/4``) the total mass must equal one exactly.  In ``decimal`` mode
@@ -158,16 +167,15 @@ class Realisation:
             ) from None
 
 
-def _cartesian(alphabets: Sequence[tuple[Label, ...]]) -> tuple[TargetEvent, ...]:
-    events: list[TargetEvent] = [()]
-    for alphabet in alphabets:
-        events = [e + (label,) for e in events for label in alphabet]
-    return tuple(events)
-
-
 @dataclass(frozen=True)
 class VariableSchema:
-    """Names and alphabets of the predictors and the (optional) target."""
+    """Names and alphabets of the predictors and the (optional) target.
+
+    ``target_alphabet`` lists target events as tuples of component labels.
+    For a composite target it holds the observed joint events only, never
+    the product of the component alphabets, which grows exponentially in
+    the number of components.
+    """
 
     predictors: tuple[str, ...]
     predictor_alphabets: tuple[tuple[Label, ...], ...]
@@ -212,10 +220,14 @@ class VariableSchema:
             raise SchemaError("one alphabet per target component is required")
         for name, alphabet in zip(self.target_components, self.target_component_alphabets):
             _check_alphabet(name, alphabet)
-        if self.target_alphabet != _cartesian(self.target_component_alphabets):
-            raise SchemaError(
-                "the target alphabet must be the product of the component alphabets"
-            )
+        labels = [set(alphabet) for alphabet in self.target_component_alphabets]
+        for event in self.target_alphabet:
+            if len(event) != len(labels) or any(
+                label not in allowed for label, allowed in zip(event, labels)
+            ):
+                raise SchemaError(
+                    f"target event {event!r} does not match the component alphabets"
+                )
 
     @property
     def n(self) -> int:
@@ -230,6 +242,14 @@ class VariableSchema:
             raise SchemaError(
                 f"unknown target component {name!r}; have {self.target_components!r}"
             ) from None
+
+    def target_arity(self) -> int:
+        """Number of component labels in a target event."""
+        if self.target is None:
+            raise SchemaError("this distribution has no target")
+        if self.target_components is None:
+            return 1
+        return len(self.target_components)
 
     def target_label(self) -> str:
         """Header form of the target: the name, or comma-joined components."""
@@ -251,6 +271,17 @@ def _check_alphabet(name: str, alphabet: tuple[Label, ...]) -> None:
 
 RawRow = tuple[Fraction, tuple[Label, ...], TargetEvent]
 Assignment = Mapping[str, Union[Label, TargetEvent]]
+MassTable = Mapping[tuple[Label, ...], Fraction]
+
+
+class _Marginal:
+    """One projection's exact masses, and their conditional view once asked for."""
+
+    __slots__ = ("joint", "conditional")
+
+    def __init__(self, joint: MassTable) -> None:
+        self.joint = joint
+        self.conditional: Union[MassTable, None] = None
 
 
 def _first_appearance(labels: Iterable[Label]) -> tuple[Label, ...]:
@@ -270,7 +301,7 @@ class JointDistribution:
         Fraction(1, 2)
     """
 
-    __slots__ = ("schema", "mode", "_mass", "_support", "_query_cache")
+    __slots__ = ("schema", "mode", "_mass", "_support", "_marginals")
 
     def __init__(
         self,
@@ -282,6 +313,13 @@ class JointDistribution:
             raise SchemaError(f"unknown mode {mode!r}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "mode", mode)
+        # Target events are checked one component at a time, against sets.
+        if schema.target is None:
+            allowed: list[set[Label]] = []
+        elif schema.target_component_alphabets is not None:
+            allowed = [set(alphabet) for alphabet in schema.target_component_alphabets]
+        else:
+            allowed = [{event[0] for event in schema.target_alphabet or ()}]
         validated: dict[tuple[tuple[Label, ...], TargetEvent], Fraction] = {}
         for (preds, target), p in mass.items():
             if len(preds) != schema.n:
@@ -292,7 +330,9 @@ class JointDistribution:
             if schema.target is None:
                 if target != ():
                     raise SchemaError("target event given for a target-free distribution")
-            elif schema.target_alphabet is not None and target not in schema.target_alphabet:
+            elif len(target) != len(allowed) or any(
+                label not in labels for label, labels in zip(target, allowed)
+            ):
                 raise SchemaError(f"target event {target!r} is not in the alphabet")
             if p <= 0:
                 raise MassError(f"support mass must be positive, got {p} at {preds!r}")
@@ -311,10 +351,10 @@ class JointDistribution:
             "_support",
             tuple(Realisation(preds, target, p) for (preds, target), p in validated.items()),
         )
-        # Partial-assignment sums are pure functions of the immutable mass,
-        # so they are memoised; repeated lattice evaluations hit the same
-        # few marginals thousands of times.
-        object.__setattr__(self, "_query_cache", {})
+        # The exact marginal layer: projection -> tables, filled on first use.
+        # The masses are immutable, so a table never goes stale, and there
+        # are at most 2**n * 2**arity projections to hold.
+        object.__setattr__(self, "_marginals", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("JointDistribution is immutable")
@@ -427,11 +467,11 @@ class JointDistribution:
                 by_predictor[schema.predictors.index(name)] = value
             elif schema.target is not None and name == schema.target:
                 event = (
-                    _split_target(value, self._target_arity())
+                    _split_target(value, self.schema.target_arity())
                     if isinstance(value, str)
                     else tuple(value)
                 )
-                if len(event) != self._target_arity():
+                if len(event) != self.schema.target_arity():
                     raise SchemaError(f"target event {value!r} has the wrong arity")
                 for k, label in enumerate(event):
                     _merge_constraint(by_component, k, label)
@@ -456,28 +496,77 @@ class JointDistribution:
     def _mass_where(
         self, by_predictor: Mapping[int, Label], by_component: Mapping[int, Label]
     ) -> Fraction:
-        key = (
-            tuple(sorted(by_predictor.items())),
-            tuple(sorted(by_component.items())),
+        predictors = sorted(by_predictor)
+        components = tuple(sorted(by_component))
+        table = self.joint_masses(tuple(i + 1 for i in predictors), components)
+        labels = tuple(by_predictor[i] for i in predictors) + tuple(
+            by_component[k] for k in components
         )
-        cached = self._query_cache.get(key)
-        if cached is not None:
-            return cached
-        total = Fraction(0)
-        for row in self._support:
-            if all(row.predictors[i] == v for i, v in by_predictor.items()) and all(
-                row.target[k] == v for k, v in by_component.items()
-            ):
-                total += row.p
-        self._query_cache[key] = total
-        return total
+        return table.get(labels, Fraction(0))
 
-    def _target_arity(self) -> int:
-        if self.schema.target is None:
-            raise SchemaError("this distribution has no target")
-        if self.schema.target_components is None:
-            return 1
-        return len(self.schema.target_components)
+    # ------------------------------------------------------------------
+    # exact marginal layer
+
+    def joint_masses(
+        self, predictors: tuple[int, ...], components: tuple[int, ...] = ()
+    ) -> MassTable:
+        """Exact mass of every realised label combination on one projection.
+
+        ``predictors`` lists 1-based predictor positions, as in
+        :class:`SourceEvent`, and ``components`` lists 0-based slots of the
+        target event; both are strictly increasing tuples.  Keys are the
+        predictor labels followed by the component labels; a combination
+        with no mass has no key.  The table is built by one pass over the
+        support the first time its projection is asked for, then kept.
+
+        >>> d = JointDistribution.from_rows(
+        ...     [("1/2", ("0", "0"), "0"), ("1/4", ("0", "1"), "1"),
+        ...      ("1/4", ("1", "1"), "1")], predictors=("s1", "s2"), target="t")
+        >>> dict(d.joint_masses((2,), (0,)))
+        {('0', '0'): Fraction(1, 2), ('1', '1'): Fraction(1, 2)}
+        """
+        return self._marginal(predictors, components).joint
+
+    def conditional_masses(
+        self, predictors: tuple[int, ...], components: tuple[int, ...] = ()
+    ) -> MassTable:
+        """``p(predictor labels | component labels)`` for every realised combination.
+
+        Same projection and keys as :meth:`joint_masses`.  Each joint mass
+        is divided once by the mass of its component labels, or by the
+        total mass when ``components`` is empty, and the result is kept.
+        """
+        entry = self._marginal(predictors, components)
+        if entry.conditional is None:
+            given = self._marginal((), components).joint
+            cut = len(predictors)
+            entry.conditional = MappingProxyType(
+                {labels: mass / given[labels[cut:]] for labels, mass in entry.joint.items()}
+            )
+        return entry.conditional
+
+    def _marginal(self, predictors: tuple[int, ...], components: tuple[int, ...]) -> _Marginal:
+        entry = self._marginals.get((predictors, components))
+        if entry is not None:
+            return entry
+        arity = self.schema.target_arity() if self.schema.target is not None else 0
+        for positions, low, high in ((predictors, 1, self.n), (components, 0, arity - 1)):
+            if list(positions) != sorted(set(positions)) or (
+                positions and not low <= positions[0] <= positions[-1] <= high
+            ):
+                raise SchemaError(
+                    f"bad projection {(predictors, components)!r} for {self.n} predictors "
+                    f"and {arity} target components"
+                )
+        joint: dict[tuple[Label, ...], Fraction] = {}
+        for row in self._support:
+            labels = tuple(row.predictors[i - 1] for i in predictors) + tuple(
+                row.target[k] for k in components
+            )
+            joint[labels] = joint.get(labels, 0) + row.p
+        entry = _Marginal(MappingProxyType(joint))
+        self._marginals[(predictors, components)] = entry
+        return entry
 
     # ------------------------------------------------------------------
     # transforms
@@ -501,7 +590,7 @@ class JointDistribution:
             raise SchemaError(f"unknown variable {name!r}")
         keep_preds = [i for i, name in enumerate(schema.predictors) if name in wanted]
         if schema.target is not None and schema.target in wanted:
-            keep_comps = list(range(self._target_arity()))
+            keep_comps = list(range(self.schema.target_arity()))
         elif schema.target_components is not None:
             keep_comps = [
                 k for k, name in enumerate(schema.target_components) if name in wanted
@@ -533,7 +622,7 @@ class JointDistribution:
             raise MassError(f"conditioning event has zero probability: {dict(evidence)!r}")
         schema = self.schema
         keep_preds = [i for i in range(schema.n) if i not in by_predictor]
-        keep_comps = [k for k in range(self._target_arity()) if k not in by_component] if (
+        keep_comps = [k for k in range(self.schema.target_arity()) if k not in by_component] if (
             schema.target is not None
         ) else []
         if not keep_preds and not keep_comps:
@@ -565,7 +654,7 @@ class JointDistribution:
         The predictor marginal is untouched; the complement event is
         labelled ``~<label>``.
         """
-        arity = self._target_arity()
+        arity = self.schema.target_arity()
         if isinstance(event, str):
             kept = _split_target(event, arity)
         else:
@@ -742,10 +831,7 @@ def _assemble(
                 _first_appearance(event[k] for _, event in merged)
                 for k in range(len(target_components))
             )
-            target_alphabet = _cartesian(component_alphabets)
-        else:
-            target_alphabet = _first_appearance(event for _, event in merged)
-            target_alphabet = tuple(target_alphabet)
+        target_alphabet = _first_appearance(event for _, event in merged)
     schema = VariableSchema(
         predictors=predictors,
         predictor_alphabets=pred_alphabets,

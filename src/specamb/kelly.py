@@ -28,7 +28,7 @@ from specamb.distribution import (
     MassError,
     SchemaError,
 )
-from specamb.measures import InfoValue, mutual_information
+from specamb.measures import InfoValue, log_of, mutual_information, validate_base
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -52,7 +52,7 @@ WireMessage = Union[Mapping[str, str], Sequence[str]]
 
 
 def _as_target(dist: JointDistribution, t: TargetKey) -> tuple[str, ...]:
-    arity = len(dist.schema.target_alphabet[0])
+    arity = dist.schema.target_arity()
     if isinstance(t, str):
         parts = tuple(t.split(",")) if arity > 1 else (t,)
     else:
@@ -162,8 +162,9 @@ def optimal_doubling_rate(market: RaceMarket, *, base: float = 2.0) -> InfoValue
 
     Equals ``sum_t p(t) log[p(t) o(t)]``; exactly zero under fair odds.
     """
+    validate_base(base)
     total = math.fsum(
-        float(p) * _log(p * market.odds[t], base)
+        float(p) * log_of(p * market.odds[t], base)
         for t, p in market._p_target.items()
     )
     return InfoValue(total, base)
@@ -176,11 +177,12 @@ def value_of_side_information(market: RaceMarket, *, base: float = 2.0) -> InfoV
     the mutual information between the wire and the target before being
     returned; the two are the same quantity computed by different routes.
     """
+    validate_base(base)
     if not market.wire:
         raise SchemaError("market has no wire; there is no side information")
     market._require_fair("value_of_side_information")
     gain = math.fsum(
-        float(p) * _log(p / (market._p_wire[msg] * market._p_target[t]), base)
+        float(p) * log_of(p / (market._p_wire[msg] * market._p_target[t]), base)
         for (msg, t), p in market._p_joint.items()
     )
     sub = market.joint.marginal(market.wire + (market.joint.schema.target,))
@@ -201,6 +203,7 @@ def pointwise_return(
     message and the winning target event; capital multiplies by
     ``base ** return``.
     """
+    validate_base(base)
     market._require_fair("pointwise_return")
     msg = market.message(s)
     event = _as_target(market.joint, t)
@@ -208,7 +211,7 @@ def pointwise_return(
     if not joint:
         raise MassError(f"pair {msg} / {event} has zero probability")
     ratio = joint / (market._p_wire[msg] * market._p_target[event])
-    return InfoValue(_log(ratio, base), base)
+    return InfoValue(log_of(ratio, base), base)
 
 
 @dataclass(frozen=True)
@@ -250,6 +253,7 @@ def simulate_races(
     the posterior given the message at the market's odds.  Wealth is kept
     in log space so long runs cannot overflow.
     """
+    validate_base(base)
     if races < 1:
         raise MassError(f"need at least one race, got {races}")
     rows = list(market._p_joint.items())
@@ -258,7 +262,7 @@ def simulate_races(
     acc = 0.0
     for (msg, t), p in rows:
         bet = p / market._p_wire[msg]
-        returns.append(_log(bet * market.odds[t], base))
+        returns.append(log_of(bet * market.odds[t], base))
         acc += float(p)
         cumulative.append(acc)
     cumulative[-1] = 1.0
@@ -300,8 +304,9 @@ def accumulator_legs(
     components alone, so its log return is the conditional pointwise
     mutual information of that leg.
     """
+    validate_base(base)
     ratios = _leg_ratios(market, s, t, order)
-    return tuple(InfoValue(_log(r, base), base) for r in ratios)
+    return tuple(InfoValue(log_of(r, base), base) for r in ratios)
 
 
 def accumulator_log_return(
@@ -318,10 +323,11 @@ def accumulator_log_return(
     the full composite winner and every component permutation yields the
     same value.
     """
+    validate_base(base)
     product = Fraction(1)
     for ratio in _leg_ratios(market, s, t, order):
         product *= ratio
-    return InfoValue(_log(product, base), base)
+    return InfoValue(log_of(product, base), base)
 
 
 def _leg_ratios(
@@ -379,13 +385,3 @@ def _masses(
         if row_msg == msg:
             with_msg += p
     return with_msg, total
-
-
-def _log(value: Fraction, base: float) -> float:
-    if value <= 0:
-        raise MassError(f"log of non-positive value {value}")
-    if base == 2.0:
-        return math.log2(value)
-    if base <= 0 or base == 1:
-        raise MassError(f"log base must be positive and not 1, got {base}")
-    return math.log2(value) / math.log2(base)

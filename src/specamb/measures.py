@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from specamb.distribution import (
+    DistributionError,
     JointDistribution,
     MassError,
     Realisation,
@@ -62,13 +63,22 @@ class InfoValue:
         return f"InfoValue({self.value!r} {unit})"
 
 
-def _log_prob(p: Fraction, base: float) -> float:
+def validate_base(base: float) -> None:
+    """Reject a logarithm base that is not finite, positive and unequal to 1.
+
+    Called once at each public entry point, so :func:`log_of` can stay a
+    bare logarithm inside the engine's loops.
+    """
+    if not (math.isfinite(base) and base > 0 and base != 1):
+        raise DistributionError(f"log base must be finite, positive and not 1, got {base!r}")
+
+
+def log_of(p: Fraction, base: float) -> float:
+    """Logarithm of an exact positive value in a base checked by :func:`validate_base`."""
     if p <= 0:
-        raise MassError("information value of a zero-probability event")
+        raise MassError(f"logarithm of the non-positive value {p}")
     if base == 2.0:
         return math.log2(p)
-    if base <= 0 or base == 1.0:
-        raise ValueError(f"log base must be positive and != 1, got {base!r}")
     return math.log2(p) / math.log2(base)
 
 
@@ -80,7 +90,8 @@ def surprisal_of(p: object, base: float = 2.0) -> float:
     >>> surprisal_of(Fraction(1, 4))
     2.0
     """
-    return -_log_prob(Fraction(p), base)  # type: ignore[arg-type]
+    validate_base(base)
+    return -log_of(Fraction(p), base)  # type: ignore[arg-type]
 
 
 def _assignment(
@@ -133,7 +144,8 @@ def pointwise_entropy(
     >>> pointwise_entropy(d, {"s1": "1"})
     InfoValue(1.0 bits)
     """
-    return InfoValue(-_log_prob(dist.probability(event), base), base)
+    validate_base(base)
+    return InfoValue(-log_of(dist.probability(event), base), base)
 
 
 def pointwise_conditional_entropy(
@@ -143,11 +155,12 @@ def pointwise_conditional_entropy(
     base: float = 2.0,
 ) -> InfoValue:
     """Conditional surprisal ``h(event | given)``."""
+    validate_base(base)
     denom = dist.probability(given)
     if denom == 0:
         raise MassError(f"conditioning event {given!r} has zero probability")
     joint = dist.probability({**event, **given})
-    return InfoValue(-_log_prob(joint / denom, base), base)
+    return InfoValue(-log_of(joint / denom, base), base)
 
 
 def specificity(
@@ -167,9 +180,10 @@ def specificity(
     target components gives the specificity used by conditional
     decompositions.
     """
+    validate_base(base)
     event = _assignment(dist, realisation, (source,), (), False)
     given = _assignment(dist, realisation, given_sources, given_components, False)
-    return InfoValue(-_log_prob(_conditional_probability(dist, event, given), base), base)
+    return InfoValue(-log_of(_conditional_probability(dist, event, given), base), base)
 
 
 def ambiguity(
@@ -189,6 +203,7 @@ def ambiguity(
     target); extra realised source events or components extend the
     conditioning set exactly as for :func:`specificity`.
     """
+    validate_base(base)
     event = _assignment(dist, realisation, (source,), (), False)
     given = _assignment(
         dist,
@@ -197,7 +212,7 @@ def ambiguity(
         tuple(components) + tuple(given_components) if components is not None else given_components,
         components is None,
     )
-    return InfoValue(-_log_prob(_conditional_probability(dist, event, given), base), base)
+    return InfoValue(-log_of(_conditional_probability(dist, event, given), base), base)
 
 
 def pointwise_mutual_information(
@@ -222,6 +237,7 @@ def pointwise_mutual_information(
     The value is negative exactly when the source event is misinformative
     about the realised target event.
     """
+    validate_base(base)
     if source is None:
         source = SourceEvent(tuple(range(1, dist.n + 1)))
     target_event = _assignment(
@@ -231,7 +247,7 @@ def pointwise_mutual_information(
     source_event = _assignment(dist, realisation, (source,), (), False)
     posterior = _conditional_probability(dist, target_event, {**source_event, **given})
     prior = _conditional_probability(dist, target_event, given)
-    return InfoValue(_log_prob(posterior, base) - _log_prob(prior, base), base)
+    return InfoValue(log_of(posterior, base) - log_of(prior, base), base)
 
 
 def co_information(
@@ -243,6 +259,7 @@ def co_information(
     negative values indicate synergy; unlike the lattice decomposition it
     conflates the two, which is what makes it a useful diagnostic foil.
     """
+    validate_base(base)
     if dist.n != 2:
         raise SchemaError("co-information is defined here for two predictors")
     parts = [
@@ -263,6 +280,7 @@ def average(
     Uses compensated summation, so desk-scale averages of exactly
     representable pointwise values stay exact.
     """
+    validate_base(base)
     terms = []
     for row in dist.support:
         value = fn(row)

@@ -256,6 +256,17 @@ class TestVerify:
         assert all(check["ok"] for check in payload["checks"])
 
 
+class TestBadBase:
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("base", ["1", "0", "-2", "nan", "inf"])
+    def test_invalid_base_exits_two(self, runner, command, base):
+        result = invoke(runner, command, "--corpus", "and", "--base", base)
+        assert result.exit_code == 2
+        assert "error: log base" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestVersion:
     def test_version_flag(self, runner):
         result = invoke(runner, "--version")

@@ -17,6 +17,7 @@ from specamb.decomposition import (
 from specamb.distribution import (
     JointDistribution,
     MassError,
+    Realisation,
     SchemaError,
     SourceEvent,
 )
@@ -73,6 +74,14 @@ class TestNodeValues:
         dist = build("tbc")
         with pytest.raises(SchemaError):
             rmin_ambiguity(dist, BOTTOM, dist.support[0], components=("nope",))
+
+    def test_realisation_outside_the_support_rejected(self):
+        dist = build("xor")
+        stranger = Realisation(("0", "7"), ("1",), Fraction(1, 4))
+        with pytest.raises(MassError):
+            rmin_specificity(dist, BOTTOM, stranger)
+        with pytest.raises(MassError):
+            rmin_ambiguity(dist, [SourceEvent.of(2)], stranger)
 
 
 class TestDecompose:

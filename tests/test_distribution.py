@@ -125,6 +125,29 @@ class TestFromRows:
             )
 
 
+    def test_many_components_store_only_observed_events(self):
+        # The product of 24 binary alphabets would hold 2**24 events.
+        rows = [("1/2", ("0",), ("0",) * 24), ("1/2", ("1",), ("1",) * 24)]
+        names = tuple(f"c{k}" for k in range(24))
+        dist = JointDistribution.from_rows(
+            rows, predictors=("s",), target="t", target_components=names
+        )
+        assert dist.schema.target_alphabet == (("0",) * 24, ("1",) * 24)
+        assert dist.probability({"c7": "1"}) == Fraction(1, 2)
+        assert dist.probability({"c0": "0", "c23": "1"}) == Fraction(0)
+
+    def test_target_event_checked_per_component(self):
+        rows = [("1/2", ("0",), ("0", "1")), ("1/2", ("1",), ("1", "0"))]
+        dist = JointDistribution.from_rows(
+            rows, predictors=("s",), target="t", target_components=("t1", "t2")
+        )
+        # ("0", "0") was never observed but each label is in its alphabet.
+        mass = {(("0",), ("0", "0")): Fraction(1, 2), (("1",), ("1", "0")): Fraction(1, 2)}
+        assert JointDistribution(dist.schema, mass).probability({"t2": "0"}) == 1
+        with pytest.raises(SchemaError):
+            JointDistribution(dist.schema, {(("0",), ("0", "2")): Fraction(1)})
+
+
 class TestProbabilityQueries:
     def test_marginal_query_by_name(self):
         dist = xor()
@@ -137,6 +160,12 @@ class TestProbabilityQueries:
 
     def test_unknown_label_is_zero_mass(self):
         assert xor().probability({"s1": "7"}) == Fraction(0)
+
+    def test_bad_projection_rejected(self):
+        dist = xor()
+        for predictors, components in (((2, 1), ()), ((3,), ()), ((0,), ()), ((1,), (1,))):
+            with pytest.raises(SchemaError):
+                dist.joint_masses(predictors, components)
 
     def test_composite_component_query(self):
         rows = [("1/2", ("0",), ("0", "1")), ("1/2", ("1",), ("1", "0"))]

@@ -8,6 +8,8 @@ every input, not just the worked examples.
 import math
 import random
 from dataclasses import astuple
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_rational_distribution
 from specamb.checks import run_all
+from specamb.corpus import CORPUS_NAMES, build
 from specamb.decomposition import (
     ZERO_CLAMP,
     AtomRow,
@@ -234,3 +237,89 @@ def test_sweep_matches_mobius_and_closed_form(seed, n, composite, conditional):
             assert abs(row.pi_plus - closed_form_partial(lattice, node, h_plus)) <= 1e-12
             assert abs(row.pi_minus - closed_form_partial(lattice, node, h_minus)) <= 1e-12
     assert table.to_csv() == reference.to_csv()
+
+
+@sweep_oracle
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3, 4]),
+    composite=st.booleans(),
+    conditional=st.booleans(),
+)
+def test_marginal_layer_matches_brute_force_sums(seed, n, composite, conditional):
+    dist = random_rational_distribution(
+        random.Random(seed), n, composite=composite, max_alphabet=2 if n == 4 else 3
+    )
+    arity = 2 if composite else 1
+
+    @lru_cache(maxsize=None)
+    def mass(positions, slots, labels):
+        return sum(
+            (
+                row.p
+                for row in dist.support
+                if tuple(row.predictors[i - 1] for i in positions)
+                + tuple(row.target[k] for k in slots)
+                == labels
+            ),
+            Fraction(0),
+        )
+
+    def labels_of(row, positions, slots):
+        return tuple(row.predictors[i - 1] for i in positions) + tuple(
+            row.target[k] for k in slots
+        )
+
+    slot_sets = [c for size in range(arity + 1) for c in combinations(range(arity), size)]
+    for positions in [()] + [a.indices for a in all_events(n)]:
+        for slots in slot_sets:
+            joint = dist.joint_masses(positions, slots)
+            conditional_table = dist.conditional_masses(positions, slots)
+            realised = {labels_of(row, positions, slots) for row in dist.support}
+            assert set(joint) == set(conditional_table) == realised
+            for labels in realised:
+                assert joint[labels] == mass(positions, slots, labels)
+                assert conditional_table[labels] == mass(positions, slots, labels) / mass(
+                    (), slots, labels[len(positions):]
+                )
+
+    def reference(node, realisation, slots):
+        given_labels = tuple(realisation.target[k] for k in slots)
+        best = max(
+            mass(a.indices, slots, realisation.source_labels(a) + given_labels)
+            / mass((), slots, given_labels)
+            for a in node
+        )
+        return -math.log2(best)
+
+    held = ("t1",) if composite and conditional else ()
+    held_slots = (0,) if held else ()
+    for realisation in dist.support:
+        for node in lattice_for(n).nodes:
+            assert rmin_specificity(dist, node, realisation, given=held) == reference(
+                node, realisation, held_slots
+            )
+            assert rmin_ambiguity(dist, node, realisation, given=held) == reference(
+                node, realisation, tuple(range(arity))
+            )
+            if composite:
+                towards_t2 = rmin_ambiguity(dist, node, realisation, components=("t2",))
+                assert towards_t2 == reference(node, realisation, (1,))
+
+
+def test_marginal_memo_stays_bounded():
+    dists = [build(name) for name in CORPUS_NAMES]
+    dists.append(random_rational_distribution(random.Random(5), 3, composite=True))
+    for dist in dists:
+        run_all(dist)
+        bound = 2**dist.n * 2 ** dist.schema.target_arity()
+        tables = dist._marginals
+        assert 0 < len(tables) <= bound
+        sizes = {key: (len(e.joint), len(e.conditional or ())) for key, e in tables.items()}
+        assert all(max(size) <= len(dist.support) for size in sizes.values())
+        realisation = dist.support[0]
+        absent = {name: "absent" for name in dist.schema.predictors}
+        assert dist.probability(absent) == 0
+        assert dist.probability({dist.schema.predictors[0]: "absent"}) == 0
+        assert rmin_specificity(dist, [SourceEvent.of(1)], realisation) >= 0
+        assert {key: (len(e.joint), len(e.conditional or ())) for key, e in tables.items()} == sizes
