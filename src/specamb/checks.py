@@ -9,15 +9,19 @@ prints one line per result.
 The checks deliberately recompute their reference values through routes
 different from the decomposition engine (probability ratios, library
 entropy sums, the closed-form increment), so agreement is evidence and
-not tautology.
+not tautology.  The member-permutation and superset-irrelevance checks
+compare ``rmin_*`` on reordered and padded members with the engine
+table's ``r_plus``/``r_minus``; the conditional corollaries stay on
+``rmin_*`` alone, as they test how ``given`` and ``components`` resolve.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Optional
 
 from specamb.decomposition import (
@@ -29,8 +33,14 @@ from specamb.decomposition import (
     rmin_specificity,
     target_chain_rule_report,
 )
-from specamb.distribution import JointDistribution, SchemaError, SourceEvent
-from specamb.lattice import DEFAULT_MAX_PREDICTORS, closed_form_partial, lattice_for
+from specamb.distribution import DistributionError, JointDistribution, SchemaError, SourceEvent
+from specamb.lattice import (
+    DEFAULT_MAX_PREDICTORS,
+    LatticeNode,
+    closed_form_partial,
+    lattice_for,
+    source_events,
+)
 from specamb.measures import (
     ambiguity,
     average,
@@ -56,6 +66,7 @@ __all__ = [
     "check_target_chain_rule",
     "check_conditional_corollaries",
     "run_all",
+    "validate_tolerance",
 ]
 
 
@@ -73,6 +84,12 @@ class CheckResult:
         return f"{flag}  {self.name}: {self.detail} (worst {self.worst:.3g})"
 
 
+def validate_tolerance(tol: float) -> None:
+    """Reject a tolerance that is not finite and non-negative (bad input, not a failure)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DistributionError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 def _result(name: str, worst: float, tol: float, detail: str) -> CheckResult:
     return CheckResult(name, worst <= tol, worst, detail)
 
@@ -86,13 +103,6 @@ def _table(
     if table is not None:
         return table
     return decompose(dist, base=base, max_predictors=max_predictors)
-
-
-def _events(n: int) -> list[SourceEvent]:
-    out: list[SourceEvent] = []
-    for size in range(1, n + 1):
-        out.extend(SourceEvent.of(*combo) for combo in combinations(range(1, n + 1), size))
-    return out
 
 
 def check_mass_normalisation(
@@ -118,7 +128,7 @@ def check_recombination_identity(
     """
     worst = 0.0
     for realisation in dist.support:
-        for event in _events(dist.n):
+        for event in source_events(dist.n):
             pmi = float(pointwise_mutual_information(dist, realisation, event, base=base))
             split = float(specificity(dist, event, realisation, base=base)) - float(
                 ambiguity(dist, event, realisation, base=base)
@@ -128,51 +138,57 @@ def check_recombination_identity(
                    f"{len(dist.support)} realisations, all source events")
 
 
+def _rmin_deviation(
+    dist: JointDistribution,
+    table: AtomTable,
+    variants: Callable[[LatticeNode], Iterable[Sequence[SourceEvent]]],
+    base: float,
+) -> float:
+    """Worst gap between ``rmin_*`` on each of ``variants(node)`` and the node's row."""
+    given = table.given_components
+    towards = table.target_components
+    worst = 0.0
+    for realisation, rows in table.pointwise.items():
+        for node, row in rows.items():
+            for members in variants(node):
+                worst = max(
+                    worst,
+                    abs(rmin_specificity(dist, members, realisation, given=given, base=base)
+                        - row.r_plus),
+                    abs(rmin_ambiguity(dist, members, realisation, components=towards,
+                                       given=given, base=base) - row.r_minus),
+                )
+    return worst
+
+
 def check_member_permutation(
     dist: JointDistribution,
+    table: Optional[AtomTable] = None,
     *,
     tol: float = 1e-9,
     base: float = 2.0,
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
 ) -> CheckResult:
     """Node redundancies ignore the order in which members are listed."""
-    lattice = lattice_for(dist.n, max_predictors)
-    worst = 0.0
-    for realisation in dist.support:
-        for node in lattice.nodes:
-            plus = rmin_specificity(dist, node, realisation, base=base)
-            minus = rmin_ambiguity(dist, node, realisation, base=base)
-            members = list(node.sources)
-            for perm in (list(reversed(members)), members[1:] + members[:1]):
-                worst = max(
-                    worst,
-                    abs(rmin_specificity(dist, perm, realisation, base=base) - plus),
-                    abs(rmin_ambiguity(dist, perm, realisation, base=base) - minus),
-                )
+    table = _table(dist, table, base, max_predictors)
+    worst = _rmin_deviation(
+        dist, table, lambda node: (node.sources[::-1], node.sources[1:] + node.sources[:1]), base
+    )
     return _result("member-permutation", worst, tol, "reversed and rotated members")
 
 
 def check_superset_irrelevance(
     dist: JointDistribution,
+    table: Optional[AtomTable] = None,
     *,
     tol: float = 1e-9,
     base: float = 2.0,
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
 ) -> CheckResult:
     """Adding a superset of an existing member never moves the minimum."""
-    lattice = lattice_for(dist.n, max_predictors)
+    table = _table(dist, table, base, max_predictors)
     full = SourceEvent.of(*range(1, dist.n + 1))
-    worst = 0.0
-    for realisation in dist.support:
-        for node in lattice.nodes:
-            padded = list(node.sources) + [full]
-            plus = rmin_specificity(dist, node, realisation, base=base)
-            minus = rmin_ambiguity(dist, node, realisation, base=base)
-            worst = max(
-                worst,
-                abs(rmin_specificity(dist, padded, realisation, base=base) - plus),
-                abs(rmin_ambiguity(dist, padded, realisation, base=base) - minus),
-            )
+    worst = _rmin_deviation(dist, table, lambda node: (node.sources + (full,),), base)
     return _result("superset-irrelevance", worst, tol,
                    "every node padded with the full predictor event")
 
@@ -183,7 +199,7 @@ def check_self_redundancy(
     """Single-member nodes reduce to the event's own surprisals."""
     worst = 0.0
     for realisation in dist.support:
-        for event in _events(dist.n):
+        for event in source_events(dist.n):
             worst = max(
                 worst,
                 abs(rmin_specificity(dist, [event], realisation, base=base)
@@ -280,11 +296,11 @@ def check_closed_form_agreement(
     for realisation, rows in table.pointwise.items():
         h_plus = {
             event: rmin_specificity(dist, [event], realisation, base=base)
-            for event in _events(dist.n)
+            for event in source_events(dist.n)
         }
         h_minus = {
             event: rmin_ambiguity(dist, [event], realisation, base=base)
-            for event in _events(dist.n)
+            for event in source_events(dist.n)
         }
         for node in lattice.nodes:
             worst = max(
@@ -471,12 +487,13 @@ def run_all(
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
 ) -> tuple[CheckResult, ...]:
     """Run every check that applies to this distribution."""
+    validate_tolerance(tol)
     table = decompose(dist, base=base, max_predictors=max_predictors)
     results = [
         check_mass_normalisation(dist, tol=tol),
         check_recombination_identity(dist, tol=tol, base=base),
-        check_member_permutation(dist, tol=tol, base=base, max_predictors=max_predictors),
-        check_superset_irrelevance(dist, tol=tol, base=base, max_predictors=max_predictors),
+        check_member_permutation(dist, table, tol=tol, base=base),
+        check_superset_irrelevance(dist, table, tol=tol, base=base),
         check_self_redundancy(dist, tol=tol, base=base),
         check_lattice_monotonicity(dist, table, tol=tol, base=base),
         check_partial_nonnegativity(dist, table, tol=tol, base=base),

@@ -23,7 +23,7 @@ import click
 
 import specamb
 from specamb import corpus as corpus_mod
-from specamb.checks import run_all
+from specamb.checks import run_all, validate_tolerance
 from specamb.decomposition import decompose as decompose_table
 from specamb.decomposition import target_chain_rule_report
 from specamb.distribution import DistributionError, JointDistribution, load_distribution
@@ -234,6 +234,7 @@ def chainrule_cmd(corpus_name, input_path, epsilon, targets, tol, base,
     if order is None:
         _fail("this distribution has no composite target; use --targets on one that does")
     try:
+        validate_tolerance(tol)
         reports = [
             target_chain_rule_report(dist, order, base=base, max_predictors=lattice_cap),
             target_chain_rule_report(dist, tuple(reversed(order)), base=base,

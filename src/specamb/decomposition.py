@@ -31,23 +31,24 @@ and the two-event target coarsening invariance are exposed as report
 functions, since they are the load-bearing consistency properties of the
 construction.
 
-Every probability comes from the distribution's exact marginal layer
-(:meth:`JointDistribution.conditional_masses`): the engine, the
-``rmin_*`` functions and both reports read the same memoised
-conditional tables, so a value is divided out once per distribution,
-not once per query.  Probabilities are compared as exact rationals and
-only the final value takes a logarithm, so the minimum in step 1, the
-ranking and ties in step 2 and every equality the reports check are
-immune to float noise.
+Every lattice-wide node value comes from one sweep per realisation and
+conditioning set: ``decompose`` runs two, the chain-rule report one per
+prefix of its component order and the coarsening report four; ``rmin_*``
+evaluate one member list at a time.  Every probability comes from the
+distribution's exact marginal layer
+(:meth:`JointDistribution.conditional_masses`).  Probabilities are
+compared as exact rationals and only the final value takes a logarithm,
+so the minimum in step 1, the ranking and ties in step 2 and every
+equality the reports check are immune to float noise.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import groupby
 from types import MappingProxyType
 from typing import Union
 
@@ -63,7 +64,7 @@ from specamb.lattice import (
     Lattice,
     LatticeNode,
     lattice_for,
-    source_bit,
+    source_events,
 )
 from specamb.measures import InfoValue, log_of, validate_base
 
@@ -84,6 +85,12 @@ __all__ = [
 ZERO_CLAMP = 1e-12
 
 BIVARIATE_ATOM_NAMES = ("R", "U1", "U2", "C")
+BIVARIATE_ATOM_NODES = (
+    LatticeNode.of((1,), (2,)),
+    LatticeNode.of((1,)),
+    LatticeNode.of((2,)),
+    LatticeNode.of((1, 2)),
+)
 
 
 @dataclass(frozen=True)
@@ -289,13 +296,7 @@ class AtomTable:
         if self.dist.n != 2:
             raise SchemaError("named atoms R/U1/U2/C exist only for two predictors")
         rows = self.averages if which == "average" else self.pointwise[which]
-        order = (
-            LatticeNode.of((1,), (2,)),
-            LatticeNode.of((1,)),
-            LatticeNode.of((2,)),
-            LatticeNode.of((1, 2)),
-        )
-        return {name: rows[node] for name, node in zip(BIVARIATE_ATOM_NAMES, order)}
+        return {name: rows[node] for name, node in zip(BIVARIATE_ATOM_NAMES, BIVARIATE_ATOM_NODES)}
 
     # ------------------------------------------------------------------
     # serialisation
@@ -356,13 +357,7 @@ class AtomTable:
         """R/U1/U2/C names for the four two-predictor nodes, else empty."""
         if self.dist.n != 2:
             return {}
-        order = (
-            LatticeNode.of((1,), (2,)),
-            LatticeNode.of((1,)),
-            LatticeNode.of((2,)),
-            LatticeNode.of((1, 2)),
-        )
-        return dict(zip(order, BIVARIATE_ATOM_NAMES))
+        return dict(zip(BIVARIATE_ATOM_NODES, BIVARIATE_ATOM_NAMES))
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict mirroring the CSV content plus table metadata."""
@@ -437,25 +432,22 @@ def _clamp(x: float, active: bool) -> float:
 
 
 def _sweep(
-    probs: Sequence[Fraction],
-    bits: Sequence[int],
-    members: Sequence[Sequence[int]],
-    node_at: Mapping[int, int],
-    base: float,
+    probs: Sequence[Fraction], lattice: Lattice, base: float
 ) -> tuple[list[float], list[float]]:
     """Cumulative values and increments of one side at one realisation.
 
-    ``probs[i]`` is the probability of source ``i`` and ``bits[i]`` its bit
-    in the lattice's closure masks; ``members[j]`` lists the sources of
-    node ``j`` and ``node_at`` maps a closure mask to its node.  Sources are
+    ``probs[m - 1]`` is the probability of the source event whose
+    predictor bitmask is ``m`` (the order of :func:`source_events`); bit
+    ``m`` stands for it in the lattice's closure masks.  Sources are
     ranked on the exact probabilities, so ties stay exact and each node's
     value is the surprisal of its best-ranked member.
     """
+    node_at = lattice.node_at
     order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
-    rank = [0] * len(probs)
+    rank = [0] * (len(probs) + 1)
     values: list[float] = []
-    increments = [0.0] * len(members)
-    surviving = sum(bits)
+    increments = [0.0] * len(lattice.nodes)
+    surviving = (1 << (len(probs) + 1)) - 2
     previous = 0.0
     for k, (p, group) in enumerate(groupby(order, probs.__getitem__)):
         value = -log_of(p, base)
@@ -465,10 +457,29 @@ def _sweep(
         values.append(value)
         previous = value
         for i in group:
-            rank[i] = k
-            surviving &= ~bits[i]
-    cumulative = [values[min(map(rank.__getitem__, m))] for m in members]
+            rank[i + 1] = k
+            surviving &= ~(2 << i)
+    cumulative = [values[min(map(rank.__getitem__, m))] for m in lattice.member_masks]
     return cumulative, increments
+
+
+def _side(
+    dist: JointDistribution, lattice: Lattice, conditioning: Sequence[str], base: float
+) -> Callable[..., tuple[list[float], list[float]]]:
+    """The sweep of one side, conditional on the realised ``conditioning``.
+
+    The returned function takes a realisation and its labels at each of
+    :func:`source_events`; its node values equal ``rmin_*``'s exactly.
+    """
+    slots = _component_slots(dist, conditioning)
+    tables = [dist.conditional_masses(a.indices, slots) for a in source_events(dist.n)]
+
+    def evaluate(realisation, labels):
+        given = tuple(realisation.target[k] for k in slots)
+        probs = [table[own + given] for table, own in zip(tables, labels)]
+        return _sweep(probs, lattice, base)
+
+    return evaluate
 
 
 def decompose(
@@ -493,47 +504,20 @@ def decompose(
         raise SchemaError("conditioning on every target component leaves nothing to decompose")
     lattice = lattice_for(dist.n, max_predictors)
     clamp_active = dist.mode == "rational"
-
-    all_sources = [
-        SourceEvent(c)
-        for size in range(1, dist.n + 1)
-        for c in combinations(range(1, dist.n + 1), size)
-    ]
-    # Specificity conditions on the held components, ambiguity on every
-    # component; one conditional table per source and side.
-    plus_slots = _component_slots(dist, given)
-    minus_slots = _component_slots(dist, available)
-    plus_tables = [dist.conditional_masses(a.indices, plus_slots) for a in all_sources]
-    minus_tables = [dist.conditional_masses(a.indices, minus_slots) for a in all_sources]
-
-    # The sweep works on integer positions: sources by their place in
-    # ``all_sources``, nodes by their place in ``lattice.nodes``.
-    position = {a: i for i, a in enumerate(all_sources)}
-    bits = [source_bit(a) for a in all_sources]
-    members = [tuple(position[a] for a in node.sources) for node in lattice.nodes]
-    node_at = {lattice.closure_mask(node): j for j, node in enumerate(lattice.nodes)}
+    # Specificity conditions on the held components, ambiguity on every one.
+    plus_side = _side(dist, lattice, given, base)
+    minus_side = _side(dist, lattice, available, base)
+    events = source_events(dist.n)
 
     def solve(realisation: Realisation) -> list[AtomRow]:
-        plus_labels = tuple(realisation.target[k] for k in plus_slots)
-        minus_labels = tuple(realisation.target[k] for k in minus_slots)
-        labels = [realisation.source_labels(a) for a in all_sources]
-        p_plus = [table[own + plus_labels] for table, own in zip(plus_tables, labels)]
-        p_minus = [table[own + minus_labels] for table, own in zip(minus_tables, labels)]
-        cum_plus, pi_plus = _sweep(p_plus, bits, members, node_at, base)
-        cum_minus, pi_minus = _sweep(p_minus, bits, members, node_at, base)
+        labels = [realisation.source_labels(a) for a in events]
+        cum_plus, pi_plus = plus_side(realisation, labels)
+        cum_minus, pi_minus = minus_side(realisation, labels)
         rows: list[AtomRow] = []
         for r_plus, r_minus, plus, minus in zip(cum_plus, cum_minus, pi_plus, pi_minus):
             plus = _clamp(plus, clamp_active)
             minus = _clamp(minus, clamp_active)
-            rows.append(
-                AtomRow(
-                    r_plus=r_plus,
-                    r_minus=r_minus,
-                    pi_plus=plus,
-                    pi_minus=minus,
-                    pi=_clamp(plus - minus, clamp_active),
-                )
-            )
+            rows.append(AtomRow(r_plus, r_minus, plus, minus, _clamp(plus - minus, clamp_active)))
         return rows
 
     support = dist.support
@@ -585,26 +569,20 @@ def target_chain_rule_report(
     if not order:
         raise SchemaError("the chain rule needs at least one target component")
     lattice = lattice_for(dist.n, max_predictors)
+    # Node values conditioned on each prefix of ``order``: the redundancy
+    # towards component k given the earlier ones is prefix k minus prefix
+    # k + 1, and towards the joint it is the empty prefix minus the whole.
+    sides = [_side(dist, lattice, order[:k], base) for k in range(len(order) + 1)]
+    events = source_events(dist.n)
     residuals: dict[tuple[Realisation, LatticeNode], float] = {}
     worst = 0.0
     for realisation in dist.support:
-        for node in lattice.nodes:
-            joint = node_redundancy(
-                dist, node, realisation, components=order, base=base
-            )
-            parts = []
-            for k, name in enumerate(order):
-                parts.append(
-                    node_redundancy(
-                        dist,
-                        node,
-                        realisation,
-                        components=(name,),
-                        given=order[:k],
-                        base=base,
-                    )
-                )
-            residual = joint - math.fsum(parts)
+        labels = [realisation.source_labels(a) for a in events]
+        prefixes = [side(realisation, labels)[0] for side in sides]
+        for j, node in enumerate(lattice.nodes):
+            values = [prefix[j] for prefix in prefixes]
+            parts = (a - b for a, b in zip(values, values[1:]))
+            residual = (values[0] - values[-1]) - math.fsum(parts)
             residuals[(realisation, node)] = residual
             worst = max(worst, abs(residual))
     return ChainRuleReport(order, MappingProxyType(residuals), worst)
@@ -641,24 +619,26 @@ def coarsening_invariance_report(
     if dist.schema.target is None:
         raise SchemaError("this distribution has no target to coarsen")
     lattice = lattice_for(dist.n, max_predictors)
-    coarsened = {
-        event: dist.coarsen_target_to_two_events(event)
-        for event in dict.fromkeys(row.target for row in dist.support)
-    }
+
+    def sides(d: JointDistribution) -> tuple:
+        return _side(d, lattice, (), base), _side(d, lattice, _component_names(d), base)
+
+    fine = sides(dist)
+    events = source_events(dist.n)
+    coarsened = {}
+    for event in dict.fromkeys(row.target for row in dist.support):
+        coarse = dist.coarsen_target_to_two_events(event)
+        coarsened[event] = (coarse, sides(coarse))
     residuals: dict[tuple[Realisation, LatticeNode], float] = {}
     worst = 0.0
     for realisation in dist.support:
-        coarse = coarsened[realisation.target]
-        kept_label = ",".join(realisation.target)
-        coarse_real = coarse.realisation(realisation.predictors, kept_label)
-        for node in lattice.nodes:
-            d_plus = rmin_specificity(dist, node, realisation, base=base) - rmin_specificity(
-                coarse, node, coarse_real, base=base
-            )
-            d_minus = rmin_ambiguity(dist, node, realisation, base=base) - rmin_ambiguity(
-                coarse, node, coarse_real, base=base
-            )
-            residual = max(abs(d_plus), abs(d_minus))
+        coarse, coarse_sides = coarsened[realisation.target]
+        coarse_real = coarse.realisation(realisation.predictors, ",".join(realisation.target))
+        labels = [realisation.source_labels(a) for a in events]
+        plus, minus = (side(realisation, labels)[0] for side in fine)
+        coarse_plus, coarse_minus = (side(coarse_real, labels)[0] for side in coarse_sides)
+        for j, node in enumerate(lattice.nodes):
+            residual = max(abs(plus[j] - coarse_plus[j]), abs(minus[j] - coarse_minus[j]))
             residuals[(realisation, node)] = residual
             worst = max(worst, residual)
     return CoarseningReport(MappingProxyType(residuals), worst)

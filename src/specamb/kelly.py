@@ -95,7 +95,10 @@ class RaceMarket:
         p_wire: dict[tuple[str, ...], Fraction] = {}
         p_joint: dict[tuple[tuple[str, ...], tuple[str, ...]], Fraction] = {}
         slots = [known.index(name) for name in wire_names]
-        for (preds, target), p in joint.mass.items():
+        # Divide by the total, which decimal-mode input only matches to 1e-9.
+        total = joint.total_mass
+        for (preds, target), mass in joint.mass.items():
+            p = mass / total
             msg = tuple(preds[i] for i in slots)
             p_target[target] = p_target.get(target, Fraction(0)) + p
             p_wire[msg] = p_wire.get(msg, Fraction(0)) + p
@@ -205,13 +208,17 @@ def pointwise_return(
     """
     validate_base(base)
     market._require_fair("pointwise_return")
+    return InfoValue(log_of(_race_ratio(market, s, t), base), base)
+
+
+def _race_ratio(market: RaceMarket, s: WireMessage, t: TargetKey) -> Fraction:
+    """``p(msg, t) / (p(msg) p(t))`` for one race."""
     msg = market.message(s)
     event = _as_target(market.joint, t)
     joint = market._p_joint.get((msg, event))
     if not joint:
         raise MassError(f"pair {msg} / {event} has zero probability")
-    ratio = joint / (market._p_wire[msg] * market._p_target[event])
-    return InfoValue(log_of(ratio, base), base)
+    return joint / (market._p_wire[msg] * market._p_target[event])
 
 
 @dataclass(frozen=True)
@@ -344,12 +351,7 @@ def _leg_ratios(
             raise SchemaError(
                 f"order {tuple(order)} does not match the single target {schema.target!r}"
             )
-        msg = market.message(s)
-        event = _as_target(market.joint, t)
-        joint = market._p_joint.get((msg, event))
-        if not joint:
-            raise MassError(f"pair {msg} / {event} has zero probability")
-        return [joint / (market._p_wire[msg] * market._p_target[event])]
+        return [_race_ratio(market, s, t)]
     names = schema.target_components if order is None else tuple(order)
     if sorted(names) != sorted(schema.target_components):
         raise SchemaError(

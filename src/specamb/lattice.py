@@ -12,9 +12,10 @@ the decomposition machinery needs.
 
 Moebius inversion on this lattice turns a cumulative node measure into
 per-node increments.  The decomposition engine does not call it: its
-measures are minima of per-member values, whose increments it reads off a
-sorted threshold sweep (see :mod:`specamb.decomposition`).  Two
-independent routes stay here as oracles for that sweep:
+measures are minima of per-member values, whose values and increments it
+reads off a sorted threshold sweep (see :mod:`specamb.decomposition`)
+that runs on the integer form :class:`Lattice` carries.  Two independent
+routes stay here as oracles for that sweep:
 :meth:`Lattice.mobius_invert` subtracts the full strict down-set
 recursively, while :func:`closed_form_partial` evaluates the direct
 formula (minimum over members, then subtract the maximum over lower
@@ -30,6 +31,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Union
 
 from specamb.distribution import SchemaError, SourceEvent
@@ -43,7 +45,7 @@ __all__ = [
     "meet",
     "closed_form_partial",
     "lattice_for",
-    "source_bit",
+    "source_events",
 ]
 
 DEFAULT_MAX_PREDICTORS = 4
@@ -96,13 +98,20 @@ def _predictor_mask(source: SourceEvent) -> int:
     return sum(1 << (index - 1) for index in source.indices)
 
 
-def source_bit(source: SourceEvent) -> int:
-    """The bit that stands for ``source`` in a node's up-closure mask.
+@lru_cache(maxsize=None)
+def source_events(n: int) -> tuple[SourceEvent, ...]:
+    """Every nonempty subset of ``{1..n}``, in predictor-bitmask order.
 
-    Bit ``s`` is the subset whose predictor bitmask is ``s`` (predictor
-    ``i`` is bit ``i - 1``); see :class:`Lattice`.
+    Predictor ``i`` is bit ``i - 1``, so the event with bitmask ``m`` sits
+    at position ``m - 1``.
+
+    >>> [str(a) for a in source_events(2)]
+    ['1', '2', '12']
     """
-    return 1 << _predictor_mask(source)
+    return tuple(
+        SourceEvent(tuple(i + 1 for i in range(n) if mask >> i & 1))
+        for mask in range(1, 1 << n)
+    )
 
 
 def node_leq(alpha: LatticeNode, beta: LatticeNode) -> bool:
@@ -135,11 +144,7 @@ def enumerate_nodes(
             f"lattice for n={n} exceeds the cap of {max_predictors} predictors; "
             "raise max_predictors explicitly to allow it"
         )
-    subsets = [
-        SourceEvent(c)
-        for size in range(1, n + 1)
-        for c in combinations(range(1, n + 1), size)
-    ]
+    subsets = source_events(n)
     nodes: list[LatticeNode] = []
 
     def extend(chosen: list[SourceEvent], start: int) -> None:
@@ -170,10 +175,14 @@ class Lattice:
     operations, and the lower covers of a node are the nodes whose
     closure adds exactly one addable subset (one all of whose strict
     supersets are already closed over).  That keeps construction near
-    linear in the node count instead of quadratic.
+    linear in the node count instead of quadratic.  For the threshold
+    sweep, bit ``m`` is the source event with predictor bitmask ``m``;
+    ``member_masks[j]`` lists node ``j``'s members as predictor bitmasks
+    and ``node_at`` maps each closure (so each up-set of sources) to its
+    node's position.
     """
 
-    __slots__ = ("n", "nodes", "_index", "_umask", "_covers", "_down_cache")
+    __slots__ = ("n", "nodes", "member_masks", "node_at", "_umask", "_covers", "_down_cache")
 
     def __init__(self, n: int, max_predictors: int = DEFAULT_MAX_PREDICTORS) -> None:
         object.__setattr__(self, "n", n)
@@ -200,9 +209,11 @@ class Lattice:
             sorted(unordered, key=lambda v: (-umask[v].bit_count(), _node_key(v)))
         )
         object.__setattr__(self, "nodes", ordered)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(ordered)})
         object.__setattr__(self, "_umask", umask)
-        by_umask = {umask[node]: node for node in ordered}
+        masks = tuple(tuple(_predictor_mask(a) for a in node.sources) for node in ordered)
+        object.__setattr__(self, "member_masks", masks)
+        node_at = {umask[node]: j for j, node in enumerate(ordered)}
+        object.__setattr__(self, "node_at", MappingProxyType(node_at))
         covers: dict[LatticeNode, tuple[LatticeNode, ...]] = {}
         for node in ordered:
             closure = umask[node]
@@ -212,7 +223,7 @@ class Lattice:
                     continue
                 if (sup[s] ^ (1 << s)) & ~closure:
                     continue
-                below.append(by_umask[closure | (1 << s)])
+                below.append(ordered[node_at[closure | (1 << s)]])
             covers[node] = tuple(sorted(below, key=_node_key))
         object.__setattr__(self, "_covers", covers)
         object.__setattr__(self, "_down_cache", {})
@@ -224,10 +235,10 @@ class Lattice:
         return len(self.nodes)
 
     def __contains__(self, node: LatticeNode) -> bool:
-        return node in self._index
+        return node in self._umask
 
     def _check(self, node: LatticeNode) -> None:
-        if node not in self._index:
+        if node not in self._umask:
             raise SchemaError(f"{node} is not a node of the n={self.n} lattice")
 
     @property
@@ -242,17 +253,6 @@ class Lattice:
         self._check(alpha)
         self._check(beta)
         return self._umask[beta] & ~self._umask[alpha] == 0
-
-    def closure_mask(self, node: LatticeNode) -> int:
-        """The up-closure of ``node``'s members, one bit per source event.
-
-        Bits follow :func:`source_bit`.  The mask is the set of sources
-        with a member of ``node`` inside them, so distinct nodes have
-        distinct masks, and every nonempty up-set of sources is the mask
-        of exactly one node.
-        """
-        self._check(node)
-        return self._umask[node]
 
     def down_set(self, node: LatticeNode) -> frozenset[LatticeNode]:
         """Every node below or equal to ``node``."""

@@ -123,7 +123,9 @@ def _conditional_probability(
     event: dict[str, str],
     given: dict[str, str],
 ) -> Fraction:
-    denom = dist.probability(given) if given else Fraction(1)
+    # With nothing given this is the total mass, so decimal-mode tables
+    # that sum to 1 within rounding are normalised as the engine does.
+    denom = dist.probability(given)
     if denom == 0:
         raise MassError(f"conditioning event {given!r} has zero probability")
     joint = dist.probability({**event, **given})
@@ -145,7 +147,7 @@ def pointwise_entropy(
     InfoValue(1.0 bits)
     """
     validate_base(base)
-    return InfoValue(-log_of(dist.probability(event), base), base)
+    return InfoValue(-log_of(_conditional_probability(dist, event, {}), base), base)
 
 
 def pointwise_conditional_entropy(
@@ -156,11 +158,7 @@ def pointwise_conditional_entropy(
 ) -> InfoValue:
     """Conditional surprisal ``h(event | given)``."""
     validate_base(base)
-    denom = dist.probability(given)
-    if denom == 0:
-        raise MassError(f"conditioning event {given!r} has zero probability")
-    joint = dist.probability({**event, **given})
-    return InfoValue(-log_of(joint / denom, base), base)
+    return InfoValue(-log_of(_conditional_probability(dist, event, given), base), base)
 
 
 def specificity(

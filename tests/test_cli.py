@@ -267,6 +267,45 @@ class TestBadBase:
         assert isinstance(result.exception, SystemExit)
 
 
+class TestBadTolerance:
+    @pytest.mark.parametrize("command", ["verify", "chainrule"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_invalid_tolerance_exits_two(self, runner, command, tol):
+        result = invoke(runner, command, "--corpus", "tbc", "--tol", tol)
+        assert result.exit_code == 2
+        assert "error: tolerance" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestDecimalNormalisation:
+    # Ingestion accepts a decimal total within 1e-9 of one; every route
+    # must then divide by the same total.
+    TABLE = (
+        "#p\ts1\ts2\tt\n"
+        "0.2499999991\t0\t0\t0\n"
+        "0.25\t0\t1\t0\n"
+        "0.25\t1\t0\t0\n"
+        "0.25\t1\t1\t1\n"
+    )
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "and.tsv"
+        path.write_text(self.TABLE)
+        return str(path)
+
+    def test_verify_passes(self, runner, path):
+        result = invoke(runner, "verify", "--input", path, "--format", "json")
+        assert result.exit_code == 0
+        assert all(check["ok"] for check in json.loads(result.output)["checks"])
+
+    def test_kelly_runs(self, runner, path):
+        result = invoke(runner, "kelly", "--input", path, "--races", "50")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["side_information_value"] > 0
+
+
 class TestVersion:
     def test_version_flag(self, runner):
         result = invoke(runner, "--version")

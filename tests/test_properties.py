@@ -10,23 +10,26 @@ import random
 from dataclasses import astuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_rational_distribution
-from specamb.checks import run_all
+from specamb.checks import check_member_permutation, check_superset_irrelevance, run_all
 from specamb.corpus import CORPUS_NAMES, build
 from specamb.decomposition import (
     ZERO_CLAMP,
     AtomRow,
     AtomTable,
+    coarsening_invariance_report,
     decompose,
+    node_redundancy,
     rmin_ambiguity,
     rmin_specificity,
+    target_chain_rule_report,
 )
-from specamb.distribution import SourceEvent
+from specamb.distribution import JointDistribution, SourceEvent
 from specamb.lattice import closed_form_partial, lattice_for
 from specamb.measures import (
     ambiguity,
@@ -323,3 +326,105 @@ def test_marginal_memo_stays_bounded():
         assert dist.probability({dist.schema.predictors[0]: "absent"}) == 0
         assert rmin_specificity(dist, [SourceEvent.of(1)], realisation) >= 0
         assert {key: (len(e.joint), len(e.conditional or ())) for key, e in tables.items()} == sizes
+
+
+def random_multi_target_distribution(rng, n, arity):
+    """Up to 12 rows over binary-ish predictors and ``arity`` target components.
+
+    One component is a plain target; more are binary components ``t1..``.
+    Integer weights 1..9 make exact ties between probabilities common.
+    """
+    sizes = [rng.randint(1, 2 if n == 4 else 3) for _ in range(n)]
+    if arity == 1:
+        events = [(str(k),) for k in range(rng.randint(2, 3))]
+    else:
+        events = list(product("01", repeat=arity))
+    cells = list(product(*[[str(v) for v in range(size)] for size in sizes], events))
+    cells = rng.sample(cells, rng.randint(1, min(12, len(cells))))
+    weights = {cell: rng.randint(1, 9) for cell in cells}
+    total = sum(weights.values())
+    return JointDistribution.from_rows(
+        [(f"{w}/{total}", cell[:-1], cell[-1]) for cell, w in weights.items()],
+        predictors=tuple(f"s{i}" for i in range(1, n + 1)),
+        target="t",
+        target_components=tuple(f"t{k}" for k in range(1, arity + 1)) if arity > 1 else None,
+    )
+
+
+def per_node_chain_residuals(dist, order):
+    residuals = {}
+    for realisation in dist.support:
+        for node in lattice_for(dist.n).nodes:
+            joint = node_redundancy(dist, node, realisation, components=order)
+            parts = [
+                node_redundancy(dist, node, realisation, components=(name,), given=order[:k])
+                for k, name in enumerate(order)
+            ]
+            residuals[(realisation, node)] = joint - math.fsum(parts)
+    return residuals
+
+
+def per_node_coarsening_residuals(dist):
+    residuals = {}
+    for realisation in dist.support:
+        coarse = dist.coarsen_target_to_two_events(realisation.target)
+        coarse_real = coarse.realisation(realisation.predictors, ",".join(realisation.target))
+        for node in lattice_for(dist.n).nodes:
+            d_plus = rmin_specificity(dist, node, realisation) - rmin_specificity(
+                coarse, node, coarse_real
+            )
+            d_minus = rmin_ambiguity(dist, node, realisation) - rmin_ambiguity(
+                coarse, node, coarse_real
+            )
+            residuals[(realisation, node)] = max(abs(d_plus), abs(d_minus))
+    return residuals
+
+
+def per_node_rmin_deviation(dist, variants):
+    worst = 0.0
+    for realisation in dist.support:
+        for node in lattice_for(dist.n).nodes:
+            plus = rmin_specificity(dist, node, realisation)
+            minus = rmin_ambiguity(dist, node, realisation)
+            for members in variants(node):
+                worst = max(
+                    worst,
+                    abs(rmin_specificity(dist, members, realisation) - plus),
+                    abs(rmin_ambiguity(dist, members, realisation) - minus),
+                )
+    return worst
+
+
+@sweep_oracle
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3, 4]),
+    arity=st.sampled_from([1, 2, 3]),
+)
+def test_reports_and_checks_match_per_node_values(seed, n, arity):
+    # The reports read node values off one sweep per conditioning set;
+    # the reference evaluates every (realisation, node) through rmin_*.
+    dist = random_multi_target_distribution(random.Random(seed), n, arity)
+    names = dist.schema.target_components or (dist.schema.target,)
+    for order in (names, names[::-1]):
+        report = target_chain_rule_report(dist, order)
+        assert dict(report.residuals) == per_node_chain_residuals(dist, order)
+    report = coarsening_invariance_report(dist)
+    assert dict(report.residuals) == per_node_coarsening_residuals(dist)
+
+    table = decompose(dist)
+    full = SourceEvent.of(*range(1, n + 1))
+
+    def permuted(node):
+        members = list(node.sources)
+        return (members[::-1], members[1:] + members[:1])
+
+    def padded(node):
+        return (list(node.sources) + [full],)
+
+    for check, variants in (
+        (check_member_permutation, permuted),
+        (check_superset_irrelevance, padded),
+    ):
+        worst = check(dist, table).worst
+        assert check(dist).worst == worst == per_node_rmin_deviation(dist, variants)
