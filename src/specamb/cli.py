@@ -134,29 +134,24 @@ def decompose_cmd(corpus_name, input_path, epsilon, targets, pointwise_only,
     if fmt == "csv":
         _emit(table.to_csv(which), out)
     elif fmt == "json":
-        payload = table.to_json_dict()
-        if which == "pointwise":
-            payload.pop("averages")
-        elif which == "average":
-            payload.pop("pointwise")
-        _emit(_json_dumps(payload), out)
+        _emit(table.to_json(which), out)
     else:
         _emit(_pretty_table(table, which), out)
 
 
 def _pretty_table(table, which: str) -> str:
     labels = table._atom_labels()
+    names = table.lattice.names
     lines: list[str] = []
-    width = max(len(str(node)) for node in table.nodes) + 2
+    width = max(map(len, names)) + 2
 
     def block(title, rows):
         lines.append(title)
         lines.append(f"  {'node':<{width}}{'atom':<6}{'r+':>12}{'r-':>12}"
                      f"{'pi+':>12}{'pi-':>12}{'pi':>12}")
-        for node in table.nodes:
-            row = rows[node]
+        for name, node, row in zip(names, table.nodes, rows.values()):
             lines.append(
-                f"  {str(node):<{width}}{labels.get(node, ''):<6}"
+                f"  {name:<{width}}{labels.get(node, ''):<6}"
                 f"{row.r_plus:>12.6g}{row.r_minus:>12.6g}"
                 f"{row.pi_plus:>12.6g}{row.pi_minus:>12.6g}{row.pi:>12.6g}"
             )

@@ -40,15 +40,24 @@ distribution's exact marginal layer
 compared as exact rationals and only the final value takes a logarithm,
 so the minimum in step 1, the ranking and ties in step 2 and every
 equality the reports check are immune to float noise.
+
+An :class:`AtomTable` writes itself as CSV (:meth:`AtomTable.to_csv`) or
+JSON (:meth:`AtomTable.to_json`).  The JSON text is exactly
+``json.dumps(payload, indent=2, sort_keys=True)`` of
+:meth:`AtomTable.to_json_dict`, written from per-table text templates
+instead of through ``json``'s pure-Python indenting encoder; both
+writers label nodes with the lattice's precomputed :attr:`Lattice.names`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Union
 
@@ -231,7 +240,14 @@ def node_redundancy(
 
 
 class AtomTable:
-    """Pointwise and averaged lattice increments for one decomposition."""
+    """Pointwise and averaged lattice increments for one decomposition.
+
+    Every row mapping is keyed in lattice order (:attr:`Lattice.nodes`),
+    so the writers read rows by position and label them with
+    :attr:`Lattice.names`.  ``to_csv`` and ``to_json`` write the two
+    output formats; ``to_json`` is ``json.dumps(..., indent=2,
+    sort_keys=True)`` of :meth:`to_json_dict`, byte for byte.
+    """
 
     __slots__ = (
         "dist",
@@ -258,12 +274,15 @@ class AtomTable:
         object.__setattr__(self, "target_components", target_components)
         object.__setattr__(self, "given_components", given_components)
         object.__setattr__(self, "base", base)
+        nodes = lattice.nodes
         object.__setattr__(
             self,
             "pointwise",
-            MappingProxyType({r: MappingProxyType(rows) for r, rows in pointwise.items()}),
+            MappingProxyType({
+                r: MappingProxyType(_in_order(rows, nodes)) for r, rows in pointwise.items()
+            }),
         )
-        object.__setattr__(self, "averages", MappingProxyType(averages))
+        object.__setattr__(self, "averages", MappingProxyType(_in_order(averages, nodes)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AtomTable is immutable")
@@ -307,25 +326,25 @@ class AtomTable:
         The pointwise block has one row per (realisation, node) with columns
         ``p``, the predictor events, the target event, ``node``, ``r_plus``,
         ``r_minus``, ``pi_plus``, ``pi_minus``, ``pi``.  The averaged block
-        drops the realisation columns.
+        drops the realisation columns.  Values print with ``%.12g``, and a
+        negative zero as ``0``.
         """
-        if which not in ("pointwise", "average", "both"):
-            raise ValueError(f"unknown table selection {which!r}")
+        _check_selection(which)
         blocks: list[str] = []
         schema = self.dist.schema
         labels = self._atom_labels()
+        node_cells = [
+            _csv_cell(name) + "," + _csv_cell(labels.get(node, ""))
+            for name, node in zip(self.lattice.names, self.nodes)
+        ]
         value_names = ["r_plus", "r_minus", "pi_plus", "pi_minus", "pi"]
-        if which in ("pointwise", "both"):
+        if which != "average":
             header = (
                 ["p", *schema.predictors]
                 + [",".join(self.target_components + self.given_components)]
                 + ["node", "atom", *value_names]
             )
             lines = [",".join(_csv_cell(h) for h in header)]
-            node_cells = [
-                _csv_cell(str(node)) + "," + _csv_cell(labels.get(node, ""))
-                for node in self.nodes
-            ]
             for realisation, rows in self.pointwise.items():
                 prefix = ",".join(
                     _csv_cell(c)
@@ -335,21 +354,17 @@ class AtomTable:
                         _target_cell(self.dist, realisation, self.target_components, self.given_components),
                     )
                 )
-                for node, node_cell in zip(self.nodes, node_cells):
-                    values = ",".join(_fmt(v) for v in _row_values(rows[node]))
-                    lines.append(f"{prefix},{node_cell},{values}")
-            blocks.append("\n".join(lines))
-        if which in ("average", "both"):
-            lines = [",".join(["node", "atom", *value_names])]
-            for node in self.nodes:
-                row = self.averages[node]
-                lines.append(
-                    ",".join([
-                        _csv_cell(str(node)),
-                        labels.get(node, ""),
-                        *(_fmt(v) for v in _row_values(row)),
-                    ])
+                lines.extend(
+                    f"{prefix},{cell},{_csv_values(row)}"
+                    for cell, row in zip(node_cells, rows.values())
                 )
+            blocks.append("\n".join(lines))
+        if which != "pointwise":
+            lines = [",".join(["node", "atom", *value_names])]
+            lines.extend(
+                f"{cell},{_csv_values(row)}"
+                for cell, row in zip(node_cells, self.averages.values())
+            )
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks) + "\n"
 
@@ -359,31 +374,96 @@ class AtomTable:
             return {}
         return dict(zip(BIVARIATE_ATOM_NODES, BIVARIATE_ATOM_NAMES))
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready dict mirroring the CSV content plus table metadata."""
+    def _json_head(self, which: str) -> dict:
+        """Table metadata, with ``None`` standing for the selected row blocks."""
         schema = self.dist.schema
-        return {
+        head = {
             "predictors": list(schema.predictors),
             "target_components": list(self.target_components),
             "given_components": list(self.given_components),
             "base": self.base,
             "mode": self.dist.mode,
-            "nodes": [str(node) for node in self.nodes],
+            "nodes": list(self.lattice.names),
             "atom_names": {str(n): a for n, a in self._atom_labels().items()},
-            "pointwise": [
-                {
-                    "p": str(realisation.p),
-                    "predictors": list(realisation.predictors),
-                    "target": list(realisation.target),
-                    "atoms": {
-                        str(node): _row_dict(rows[node]) for node in self.nodes
-                    },
-                }
-                for realisation, rows in self.pointwise.items()
-            ],
-            "averages": {str(node): _row_dict(self.averages[node]) for node in self.nodes},
-            "total_pi": self.total().value,
         }
+        if which != "average":
+            head["pointwise"] = None
+        if which != "pointwise":
+            head["averages"] = None
+        head["total_pi"] = self.total().value
+        return head
+
+    def to_json_dict(self) -> dict:
+        """JSON-ready dict mirroring the CSV content plus table metadata.
+
+        :meth:`to_json` writes its ``json.dumps(..., indent=2,
+        sort_keys=True)`` text without building it.
+        """
+        names = self.lattice.names
+        payload = self._json_head("both")
+        payload["pointwise"] = [
+            {
+                "p": str(realisation.p),
+                "predictors": list(realisation.predictors),
+                "target": list(realisation.target),
+                "atoms": dict(zip(names, map(_row_dict, rows.values()))),
+            }
+            for realisation, rows in self.pointwise.items()
+        ]
+        payload["averages"] = dict(zip(names, map(_row_dict, self.averages.values())))
+        return payload
+
+    def to_json(self, which: str = "both") -> str:
+        """``json.dumps(payload, indent=2, sort_keys=True)``, written directly.
+
+        ``payload`` is :meth:`to_json_dict` without ``averages`` when
+        ``which`` is ``pointwise`` and without ``pointwise`` when it is
+        ``average``.  Node maps are filled into one text template per
+        table, in sorted key order, with ``repr`` of each value, which is
+        what ``json`` writes for a finite float (``decompose`` writes no
+        other); everything else goes through ``json.dumps`` itself, so
+        its escaping is exact.
+        """
+        _check_selection(which)
+        head = self._json_head(which)
+        text = _dumps(head, 0)
+        names = self.lattice.names
+        order = sorted(range(len(names)), key=names.__getitem__)
+        if "averages" in head:
+            template = _node_map_template(names, order, 1)
+            text = _fill(text, "averages", 0, template % _json_values(self.averages, order))
+        if "pointwise" in head:
+            template = _node_map_template(names, order, 3)
+            entries = []
+            for realisation, rows in self.pointwise.items():
+                entry = _dumps(
+                    {
+                        "atoms": None,
+                        "p": str(realisation.p),
+                        "predictors": list(realisation.predictors),
+                        "target": list(realisation.target),
+                    },
+                    2,
+                )
+                atoms = template % _json_values(rows, order)
+                entries.append("\n    " + _fill(entry, "atoms", 2, atoms))
+            block = "[" + ",".join(entries) + "\n  ]" if entries else "[]"
+            text = _fill(text, "pointwise", 0, block)
+        return text
+
+
+def _check_selection(which: str) -> None:
+    if which not in ("pointwise", "average", "both"):
+        raise ValueError(f"unknown table selection {which!r}")
+
+
+def _in_order(
+    rows: Mapping[LatticeNode, AtomRow], nodes: tuple[LatticeNode, ...]
+) -> Mapping[LatticeNode, AtomRow]:
+    """``rows`` keyed in ``nodes`` order; rows from ``decompose`` already are."""
+    if tuple(rows) == nodes:
+        return rows
+    return {node: rows[node] for node in nodes}
 
 
 def _row_values(row: AtomRow) -> tuple[float, ...]:
@@ -400,10 +480,52 @@ def _row_dict(row: AtomRow) -> dict[str, float]:
     }
 
 
-def _fmt(x: float) -> str:
-    if x == 0:
-        x = 0.0
-    return format(x, ".12g")
+def _csv_values(row: AtomRow) -> str:
+    # Adding 0.0 turns -0.0 into 0.0, so a negative zero prints as "0".
+    return "%.12g,%.12g,%.12g,%.12g,%.12g" % (
+        row.r_plus + 0.0,
+        row.r_minus + 0.0,
+        row.pi_plus + 0.0,
+        row.pi_minus + 0.0,
+        row.pi + 0.0,
+    )
+
+
+# ``_row_dict``'s keys in sorted order, which is how ``json`` writes them.
+_JSON_FIELDS = ("pi", "pi_minus", "pi_plus", "r_minus", "r_plus")
+_json_fields = attrgetter(*_JSON_FIELDS)
+
+
+def _dumps(payload: object, depth: int) -> str:
+    """``json.dumps`` text of ``payload`` as it appears nested ``depth`` deep."""
+    return json.dumps(payload, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _fill(text: str, key: str, depth: int, value: str) -> str:
+    """Put ``value`` in place of the ``null`` under ``key`` of the object at ``depth``.
+
+    JSON strings never hold a raw newline, so the pattern only matches a key.
+    """
+    line = "\n" + "  " * (depth + 1) + json.dumps(key) + ": "
+    return text.replace(line + "null", line + value, 1)
+
+
+def _node_map_template(names: Sequence[str], order: Sequence[int], depth: int) -> str:
+    """A node -> row object nested ``depth`` deep, with ``%r`` for each value."""
+    outer = "\n" + "  " * (depth + 1)
+    inner = outer + "  "
+    fields = ",".join(inner + json.dumps(f) + ": %r" for f in _JSON_FIELDS)
+    entries = [
+        outer + json.dumps(names[j]).replace("%", "%%") + ": {" + fields + outer + "}"
+        for j in order
+    ]
+    return "{" + ",".join(entries) + "\n" + "  " * depth + "}"
+
+
+def _json_values(rows: Mapping[LatticeNode, AtomRow], order: Sequence[int]) -> tuple[float, ...]:
+    """Row values in template order: nodes by ``order``, fields by name."""
+    listed = list(rows.values())
+    return tuple(chain.from_iterable(map(_json_fields, map(listed.__getitem__, order))))
 
 
 def _csv_cell(value: str) -> str:

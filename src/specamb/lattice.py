@@ -179,10 +179,13 @@ class Lattice:
     sweep, bit ``m`` is the source event with predictor bitmask ``m``;
     ``member_masks[j]`` lists node ``j``'s members as predictor bitmasks
     and ``node_at`` maps each closure (so each up-set of sources) to its
-    node's position.
+    node's position.  ``names[j]`` is ``str(nodes[j])``, rendered once
+    for the table writers that label rows with it.
     """
 
-    __slots__ = ("n", "nodes", "member_masks", "node_at", "_umask", "_covers", "_down_cache")
+    __slots__ = (
+        "n", "nodes", "names", "member_masks", "node_at", "_umask", "_covers", "_down_cache"
+    )
 
     def __init__(self, n: int, max_predictors: int = DEFAULT_MAX_PREDICTORS) -> None:
         object.__setattr__(self, "n", n)
@@ -209,6 +212,7 @@ class Lattice:
             sorted(unordered, key=lambda v: (-umask[v].bit_count(), _node_key(v)))
         )
         object.__setattr__(self, "nodes", ordered)
+        object.__setattr__(self, "names", tuple(map(str, ordered)))
         object.__setattr__(self, "_umask", umask)
         masks = tuple(tuple(_predictor_mask(a) for a in node.sources) for node in ordered)
         object.__setattr__(self, "member_masks", masks)

@@ -73,13 +73,26 @@ def validate_base(base: float) -> None:
         raise DistributionError(f"log base must be finite, positive and not 1, got {base!r}")
 
 
+_SMALLEST_NORMAL = 2.0**-1022
+
+
 def log_of(p: Fraction, base: float) -> float:
     """Logarithm of an exact positive value in a base checked by :func:`validate_base`."""
     if p <= 0:
         raise MassError(f"logarithm of the non-positive value {p}")
+    try:
+        x = float(p)
+    except OverflowError:
+        x = math.inf
+    if not _SMALLEST_NORMAL <= x < math.inf:
+        # Outside the normal float range p rounds to few bits, to 0.0 or
+        # to inf; the logarithms of its exact integer parts stay accurate.
+        bits = math.log2(p.numerator) - math.log2(p.denominator)
+    else:
+        bits = math.log2(x)
     if base == 2.0:
-        return math.log2(p)
-    return math.log2(p) / math.log2(base)
+        return bits
+    return bits / math.log2(base)
 
 
 def surprisal_of(p: object, base: float = 2.0) -> float:

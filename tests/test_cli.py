@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, determinism, exit codes, file output."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -304,6 +305,45 @@ class TestDecimalNormalisation:
         result = invoke(runner, "kelly", "--input", path, "--races", "50")
         assert result.exit_code == 0
         assert json.loads(result.output)["side_information_value"] > 0
+
+
+class TestTinyMass:
+    # 1/10**400 rounds to 0.0 as a float, so its logarithm needs the exact parts.
+    @pytest.fixture
+    def path(self, tmp_path):
+        n = 10**400
+        path = tmp_path / "tiny.tsv"
+        path.write_text(f"#p\ts1\tt\n1/{n}\t0\t0\n{n - 1}/{n}\t1\t1\n")
+        return str(path)
+
+    def test_decompose_runs(self, runner, path):
+        result = invoke(runner, "decompose", "--input", path, "--format", "json")
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        payload = json.loads(result.output)
+        values = [
+            value
+            for entry in payload["pointwise"]
+            for row in entry["atoms"].values()
+            for value in row.values()
+        ]
+        assert all(math.isfinite(value) for value in values)
+        assert max(values) > 1300
+
+    def test_verify_passes(self, runner, path):
+        result = invoke(runner, "verify", "--input", path, "--format", "json")
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        checks = json.loads(result.output)["checks"]
+        assert checks and all(check["ok"] for check in checks)
+        assert all(math.isfinite(check["worst"]) for check in checks)
+
+    def test_kelly_runs(self, runner, path):
+        # The fair odds on the tiny target event are 10**400 to one.
+        result = invoke(runner, "kelly", "--input", path, "--races", "10")
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        assert math.isfinite(json.loads(result.output)["analytic_rate"])
 
 
 class TestVersion:

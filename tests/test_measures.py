@@ -1,6 +1,7 @@
 """Surprisal-level quantities: entropies, specificity, ambiguity, PMI."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from specamb.measures import (
     ambiguity,
     average,
     co_information,
+    log_of,
     mutual_information,
     pointwise_conditional_entropy,
     pointwise_entropy,
@@ -66,6 +68,13 @@ class TestInfoValue:
     def test_zero_probability_rejected(self):
         with pytest.raises(MassError):
             surprisal_of(0)
+
+    def test_log_outside_float_range(self):
+        # 1/10**400 rounds to 0.0 as a float and 10**400 overflows one;
+        # both logarithms are still finite.
+        assert abs(log_of(Fraction(1, 10**400), 2.0) - (-400 * math.log2(10))) <= 1e-9
+        assert abs(log_of(Fraction(3, 10**400), 10.0) - (math.log10(3) - 400)) <= 1e-9
+        assert abs(log_of(Fraction(10**400, 3), 10.0) - (400 - math.log10(3))) <= 1e-9
 
 
 class TestEntropies:

@@ -5,6 +5,9 @@ exact rational masses, and asserts an identity the engine promises for
 every input, not just the worked examples.
 """
 
+import csv
+import io
+import json
 import math
 import random
 from dataclasses import astuple
@@ -328,11 +331,12 @@ def test_marginal_memo_stays_bounded():
         assert {key: (len(e.joint), len(e.conditional or ())) for key, e in tables.items()} == sizes
 
 
-def random_multi_target_distribution(rng, n, arity):
+def random_multi_target_distribution(rng, n, arity, decimal=False):
     """Up to 12 rows over binary-ish predictors and ``arity`` target components.
 
     One component is a plain target; more are binary components ``t1..``.
     Integer weights 1..9 make exact ties between probabilities common.
+    ``decimal`` writes the masses as 12-place decimals (decimal mode).
     """
     sizes = [rng.randint(1, 2 if n == 4 else 3) for _ in range(n)]
     if arity == 1:
@@ -344,10 +348,14 @@ def random_multi_target_distribution(rng, n, arity):
     weights = {cell: rng.randint(1, 9) for cell in cells}
     total = sum(weights.values())
     return JointDistribution.from_rows(
-        [(f"{w}/{total}", cell[:-1], cell[-1]) for cell, w in weights.items()],
+        [
+            (f"{w / total:.12f}" if decimal else f"{w}/{total}", cell[:-1], cell[-1])
+            for cell, w in weights.items()
+        ],
         predictors=tuple(f"s{i}" for i in range(1, n + 1)),
         target="t",
         target_components=tuple(f"t{k}" for k in range(1, arity + 1)) if arity > 1 else None,
+        mode="decimal" if decimal else "rational",
     )
 
 
@@ -428,3 +436,66 @@ def test_reports_and_checks_match_per_node_values(seed, n, arity):
     ):
         worst = check(dist, table).worst
         assert check(dist).worst == worst == per_node_rmin_deviation(dist, variants)
+
+
+def trimmed_json(table, which):
+    """``json.dumps`` of ``to_json_dict()`` without the unselected block."""
+    payload = table.to_json_dict()
+    if which == "pointwise":
+        payload.pop("averages")
+    elif which == "average":
+        payload.pop("pointwise")
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def per_value_csv(table, which):
+    """The CSV built cell by cell through ``csv``, one ``format`` call per value."""
+
+    def fmt(x):
+        return format(0.0 if x == 0 else x, ".12g")
+
+    def values(row):
+        return [fmt(v) for v in (row.r_plus, row.r_minus, row.pi_plus, row.pi_minus, row.pi)]
+
+    schema = table.dist.schema
+    labels = table.to_json_dict()["atom_names"]
+    shown = table.target_components + table.given_components
+    slots = [schema.target_components.index(c) for c in shown] if schema.target_components else [0]
+    names = ["r_plus", "r_minus", "pi_plus", "pi_minus", "pi"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if which != "average":
+        writer.writerow(["p", *schema.predictors, ",".join(shown), "node", "atom", *names])
+        for realisation, rows in table.pointwise.items():
+            target = ",".join(realisation.target[k] for k in slots)
+            for node in table.nodes:
+                writer.writerow([
+                    str(realisation.p), *realisation.predictors, target,
+                    str(node), labels.get(str(node), ""), *values(rows[node]),
+                ])
+    if which == "both":
+        out.write("\n")
+    if which != "pointwise":
+        writer.writerow(["node", "atom", *names])
+        for node in table.nodes:
+            writer.writerow([str(node), labels.get(str(node), ""), *values(table.averages[node])])
+    return out.getvalue()
+
+
+@sweep_oracle
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3, 4]),
+    arity=st.sampled_from([1, 2, 3]),
+    conditional=st.booleans(),
+    decimal=st.booleans(),
+)
+def test_writers_match_json_dumps_and_per_value_csv(seed, n, arity, conditional, decimal):
+    # Single-label predictors give events of probability 1, whose r_plus
+    # is -0.0: JSON keeps the sign and CSV prints it as 0.
+    dist = random_multi_target_distribution(random.Random(seed), n, arity, decimal)
+    held = ("t1",) if arity > 1 and conditional else ()
+    table = decompose(dist, given=held)
+    for which in ("both", "pointwise", "average"):
+        assert table.to_json(which) == trimmed_json(table, which)
+        assert table.to_csv(which) == per_value_csv(table, which)
