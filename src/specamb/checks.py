@@ -28,7 +28,6 @@ from specamb.decomposition import (
     AtomTable,
     coarsening_invariance_report,
     decompose,
-    node_redundancy,
     rmin_ambiguity,
     rmin_specificity,
     target_chain_rule_report,

@@ -67,8 +67,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _fail(f"cannot write {out}: {exc}")
 
 
 def _json_dumps(payload: object) -> str:
@@ -145,29 +148,31 @@ def _pretty_table(table, which: str) -> str:
     lines: list[str] = []
     width = max(map(len, names)) + 2
 
-    def block(title, rows):
+    def block(title, columns):
         lines.append(title)
         lines.append(f"  {'node':<{width}}{'atom':<6}{'r+':>12}{'r-':>12}"
                      f"{'pi+':>12}{'pi-':>12}{'pi':>12}")
-        for name, node, row in zip(names, table.nodes, rows.values()):
+        for name, node, (r_plus, r_minus, pi_plus, pi_minus, pi) in zip(
+            names, table.nodes, zip(*columns)
+        ):
             lines.append(
                 f"  {name:<{width}}{labels.get(node, ''):<6}"
-                f"{row.r_plus:>12.6g}{row.r_minus:>12.6g}"
-                f"{row.pi_plus:>12.6g}{row.pi_minus:>12.6g}{row.pi:>12.6g}"
+                f"{r_plus:>12.6g}{r_minus:>12.6g}"
+                f"{pi_plus:>12.6g}{pi_minus:>12.6g}{pi:>12.6g}"
             )
 
     if which in ("pointwise", "both"):
-        for realisation, rows in table.pointwise.items():
+        for realisation, columns in table._columns.items():
             preds = ", ".join(
                 f"{n}={v}" for n, v in zip(table.dist.schema.predictors,
                                            realisation.predictors)
             )
             target = ",".join(realisation.target)
             block(f"realisation p={realisation.p}  {preds}  "
-                  f"{table.dist.schema.target}={target}", rows)
+                  f"{table.dist.schema.target}={target}", columns)
             lines.append("")
     if which in ("average", "both"):
-        block("averages", table.averages)
+        block("averages", table._average_columns)
         lines.append("")
         lines.append(f"total information: {float(table.total()):.6g} "
                      f"(base {table.base:g})")

@@ -6,14 +6,15 @@ The pipeline runs twice per support row, once for each half of the
 1. the redundancy a node carries is the *minimum* specificity (or
    ambiguity) over its member source events,
 2. a threshold sweep turns these cumulative node values into per-node
-   increments ``pi_plus`` and ``pi_minus``: the sources are ranked by
-   their exact probabilities, and for each distinct value the sources at
-   least that surprising form an up-set, which is the up-closure of
-   exactly one node.  That node receives the gap to the previous value,
-   so at most ``2**n - 1`` nodes per side are nonzero, all on one chain,
-   and every other node gets an exact zero.  This is the Moebius
-   inversion of a minimum-form measure, without the lattice-wide
-   subtraction (:meth:`Lattice.mobius_invert` remains as an oracle),
+   increments ``pi_plus`` and ``pi_minus``: the sources are sorted by
+   the integer rank of their exact probabilities, and for each distinct
+   rank the sources at least that surprising form an up-set, which is
+   the up-closure of exactly one node.  That node receives the gap to
+   the previous value, so at most ``2**n - 1`` nodes per side are
+   nonzero, all on one chain, and every other node gets an exact zero.
+   This is the Moebius inversion of a minimum-form measure, without the
+   lattice-wide subtraction (:meth:`Lattice.mobius_invert` remains as an
+   oracle),
 3. the recombined increment ``pi = pi_plus - pi_minus`` is the signed
    share of pointwise mutual information unique to that node.
 
@@ -36,10 +37,20 @@ conditioning set: ``decompose`` runs two, the chain-rule report one per
 prefix of its component order and the coarsening report four; ``rmin_*``
 evaluate one member list at a time.  Every probability comes from the
 distribution's exact marginal layer
-(:meth:`JointDistribution.conditional_masses`).  Probabilities are
-compared as exact rationals and only the final value takes a logarithm,
-so the minimum in step 1, the ranking and ties in step 2 and every
-equality the reports check are immune to float noise.
+(:meth:`JointDistribution.conditional_masses`).  For each side the
+distribution ranks the distinct conditional masses of all ``2**n - 1``
+source events once, on exact rationals
+(:meth:`JointDistribution.ranked_conditionals`), and each distinct mass
+takes one logarithm; a sweep then only compares integer ranks, so the
+minimum in step 1, the ranking and ties in step 2 and every equality the
+reports check are immune to float noise.
+
+:func:`decompose` stores its result by column: per realisation, five
+float lists (``r_plus``, ``r_minus``, ``pi_plus``, ``pi_minus``, ``pi``)
+indexed by node position, each clamped in one pass in rational mode,
+and five lists of support averages, one ``math.fsum`` per node and
+field.  The :class:`AtomRow` views of :attr:`AtomTable.pointwise` and
+:attr:`AtomTable.averages` are built only when first read.
 
 An :class:`AtomTable` writes itself as CSV (:meth:`AtomTable.to_csv`) or
 JSON (:meth:`AtomTable.to_json`).  The JSON text is exactly
@@ -54,10 +65,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 from itertools import chain, groupby
-from operator import attrgetter
+from operator import mul
 from types import MappingProxyType
 from typing import Union
 
@@ -111,6 +121,12 @@ class AtomRow:
     pi_plus: float
     pi_minus: float
     pi: float
+
+
+# The AtomRow fields, in the order of a table's columns.
+_FIELDS = tuple(field.name for field in fields(AtomRow))
+# One list per field, indexed by node position.
+_Columns = tuple[list[float], ...]
 
 
 def _component_slots(dist: JointDistribution, names: Sequence[str]) -> tuple[int, ...]:
@@ -242,10 +258,20 @@ def node_redundancy(
 class AtomTable:
     """Pointwise and averaged lattice increments for one decomposition.
 
-    Every row mapping is keyed in lattice order (:attr:`Lattice.nodes`),
-    so the writers read rows by position and label them with
-    :attr:`Lattice.names`.  ``to_csv`` and ``to_json`` write the two
-    output formats; ``to_json`` is ``json.dumps(..., indent=2,
+    The table is stored by column.  Each support realisation has five
+    float lists, ``r_plus``, ``r_minus``, ``pi_plus``, ``pi_minus`` and
+    ``pi`` (the :class:`AtomRow` fields), indexed by node position in
+    lattice order (:attr:`Lattice.nodes`); five more lists hold the
+    support averages.  The writers, :meth:`total` and
+    :meth:`pointwise_sums` read the columns and label nodes with
+    :attr:`Lattice.names`.
+
+    ``pointwise`` (``{realisation: {node: AtomRow}}``) and ``averages``
+    (``{node: AtomRow}``) are read-only views of the same values, keyed
+    in lattice order, built the first time they are read and then kept.
+    The constructor takes rows in that form, in any node order, and
+    converts them to columns once.  ``to_csv`` and ``to_json`` write the
+    two output formats; ``to_json`` is ``json.dumps(..., indent=2,
     sort_keys=True)`` of :meth:`to_json_dict`, byte for byte.
     """
 
@@ -255,8 +281,10 @@ class AtomTable:
         "target_components",
         "given_components",
         "base",
-        "pointwise",
-        "averages",
+        "_columns",
+        "_average_columns",
+        "_pointwise",
+        "_averages",
     )
 
     def __init__(
@@ -266,26 +294,70 @@ class AtomTable:
         target_components: tuple[str, ...],
         given_components: tuple[str, ...],
         base: float,
-        pointwise: dict[Realisation, dict[LatticeNode, AtomRow]],
-        averages: dict[LatticeNode, AtomRow],
+        pointwise: Mapping[Realisation, Mapping[LatticeNode, AtomRow]],
+        averages: Mapping[LatticeNode, AtomRow],
     ) -> None:
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "target_components", target_components)
-        object.__setattr__(self, "given_components", given_components)
-        object.__setattr__(self, "base", base)
         nodes = lattice.nodes
-        object.__setattr__(
-            self,
-            "pointwise",
-            MappingProxyType({
-                r: MappingProxyType(_in_order(rows, nodes)) for r, rows in pointwise.items()
-            }),
+        self._init(
+            dist,
+            lattice,
+            target_components,
+            given_components,
+            base,
+            {r: _columns_of(rows, nodes) for r, rows in pointwise.items()},
+            _columns_of(averages, nodes),
         )
-        object.__setattr__(self, "averages", MappingProxyType(_in_order(averages, nodes)))
+
+    @classmethod
+    def _of_columns(cls, *values: object) -> "AtomTable":
+        """A table from columns: the arguments of :meth:`_init`, in its order."""
+        table = cls.__new__(cls)
+        table._init(*values)
+        return table
+
+    def _init(
+        self,
+        dist: JointDistribution,
+        lattice: Lattice,
+        target_components: tuple[str, ...],
+        given_components: tuple[str, ...],
+        base: float,
+        columns: dict[Realisation, _Columns],
+        average_columns: _Columns,
+    ) -> None:
+        for name, value in (
+            ("dist", dist),
+            ("lattice", lattice),
+            ("target_components", target_components),
+            ("given_components", given_components),
+            ("base", base),
+            ("_columns", columns),
+            ("_average_columns", average_columns),
+            ("_pointwise", None),
+            ("_averages", None),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AtomTable is immutable")
+
+    @property
+    def pointwise(self) -> Mapping[Realisation, Mapping[LatticeNode, AtomRow]]:
+        """Read-only ``{realisation: {node: AtomRow}}``, built on first read."""
+        if self._pointwise is None:
+            view = {r: self._rows(columns) for r, columns in self._columns.items()}
+            object.__setattr__(self, "_pointwise", MappingProxyType(view))
+        return self._pointwise
+
+    @property
+    def averages(self) -> Mapping[LatticeNode, AtomRow]:
+        """Read-only ``{node: AtomRow}`` of support averages, built on first read."""
+        if self._averages is None:
+            object.__setattr__(self, "_averages", self._rows(self._average_columns))
+        return self._averages
+
+    def _rows(self, columns: _Columns) -> Mapping[LatticeNode, AtomRow]:
+        return MappingProxyType(dict(zip(self.lattice.nodes, map(AtomRow, *columns))))
 
     @property
     def nodes(self) -> tuple[LatticeNode, ...]:
@@ -293,19 +365,16 @@ class AtomTable:
 
     @property
     def realisations(self) -> tuple[Realisation, ...]:
-        return tuple(self.pointwise)
+        return tuple(self._columns)
 
     def total(self) -> InfoValue:
         """Sum of averaged recombined increments: the mutual information."""
-        return InfoValue(math.fsum(row.pi for row in self.averages.values()), self.base)
+        return InfoValue(math.fsum(self._average_columns[4]), self.base)
 
     def pointwise_sums(self, realisation: Realisation) -> tuple[float, float]:
         """Lattice-wide sums (pi_plus, pi_minus) at one realisation."""
-        rows = self.pointwise[realisation]
-        return (
-            math.fsum(row.pi_plus for row in rows.values()),
-            math.fsum(row.pi_minus for row in rows.values()),
-        )
+        columns = self._columns[realisation]
+        return math.fsum(columns[2]), math.fsum(columns[3])
 
     def bivariate_atoms(self, which: str = "average") -> dict[str, AtomRow]:
         """The four named two-predictor atoms R, U1, U2, C.
@@ -345,7 +414,7 @@ class AtomTable:
                 + ["node", "atom", *value_names]
             )
             lines = [",".join(_csv_cell(h) for h in header)]
-            for realisation, rows in self.pointwise.items():
+            for realisation, columns in self._columns.items():
                 prefix = ",".join(
                     _csv_cell(c)
                     for c in (
@@ -355,15 +424,15 @@ class AtomTable:
                     )
                 )
                 lines.extend(
-                    f"{prefix},{cell},{_csv_values(row)}"
-                    for cell, row in zip(node_cells, rows.values())
+                    f"{prefix},{cell},{values}"
+                    for cell, values in zip(node_cells, _csv_rows(columns))
                 )
             blocks.append("\n".join(lines))
         if which != "pointwise":
             lines = [",".join(["node", "atom", *value_names])]
             lines.extend(
-                f"{cell},{_csv_values(row)}"
-                for cell, row in zip(node_cells, self.averages.values())
+                f"{cell},{values}"
+                for cell, values in zip(node_cells, _csv_rows(self._average_columns))
             )
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks) + "\n"
@@ -406,11 +475,11 @@ class AtomTable:
                 "p": str(realisation.p),
                 "predictors": list(realisation.predictors),
                 "target": list(realisation.target),
-                "atoms": dict(zip(names, map(_row_dict, rows.values()))),
+                "atoms": _node_dicts(names, columns),
             }
-            for realisation, rows in self.pointwise.items()
+            for realisation, columns in self._columns.items()
         ]
-        payload["averages"] = dict(zip(names, map(_row_dict, self.averages.values())))
+        payload["averages"] = _node_dicts(names, self._average_columns)
         return payload
 
     def to_json(self, which: str = "both") -> str:
@@ -431,11 +500,12 @@ class AtomTable:
         order = sorted(range(len(names)), key=names.__getitem__)
         if "averages" in head:
             template = _node_map_template(names, order, 1)
-            text = _fill(text, "averages", 0, template % _json_values(self.averages, order))
+            values = _json_values(self._average_columns, order)
+            text = _fill(text, "averages", 0, template % values)
         if "pointwise" in head:
             template = _node_map_template(names, order, 3)
             entries = []
-            for realisation, rows in self.pointwise.items():
+            for realisation, columns in self._columns.items():
                 entry = _dumps(
                     {
                         "atoms": None,
@@ -445,7 +515,7 @@ class AtomTable:
                     },
                     2,
                 )
-                atoms = template % _json_values(rows, order)
+                atoms = template % _json_values(columns, order)
                 entries.append("\n    " + _fill(entry, "atoms", 2, atoms))
             block = "[" + ",".join(entries) + "\n  ]" if entries else "[]"
             text = _fill(text, "pointwise", 0, block)
@@ -457,43 +527,28 @@ def _check_selection(which: str) -> None:
         raise ValueError(f"unknown table selection {which!r}")
 
 
-def _in_order(
-    rows: Mapping[LatticeNode, AtomRow], nodes: tuple[LatticeNode, ...]
-) -> Mapping[LatticeNode, AtomRow]:
-    """``rows`` keyed in ``nodes`` order; rows from ``decompose`` already are."""
-    if tuple(rows) == nodes:
-        return rows
-    return {node: rows[node] for node in nodes}
+def _columns_of(rows: Mapping[LatticeNode, AtomRow], nodes: tuple[LatticeNode, ...]) -> _Columns:
+    """The five value columns of ``rows``, read in ``nodes`` order."""
+    ordered = [rows[node] for node in nodes]
+    return tuple([getattr(row, field) for row in ordered] for field in _FIELDS)
 
 
-def _row_values(row: AtomRow) -> tuple[float, ...]:
-    return (row.r_plus, row.r_minus, row.pi_plus, row.pi_minus, row.pi)
+def _node_dicts(names: Sequence[str], columns: _Columns) -> dict[str, dict[str, float]]:
+    return {name: dict(zip(_FIELDS, values)) for name, values in zip(names, zip(*columns))}
 
 
-def _row_dict(row: AtomRow) -> dict[str, float]:
-    return {
-        "r_plus": row.r_plus,
-        "r_minus": row.r_minus,
-        "pi_plus": row.pi_plus,
-        "pi_minus": row.pi_minus,
-        "pi": row.pi,
-    }
-
-
-def _csv_values(row: AtomRow) -> str:
+def _csv_rows(columns: _Columns) -> list[str]:
     # Adding 0.0 turns -0.0 into 0.0, so a negative zero prints as "0".
-    return "%.12g,%.12g,%.12g,%.12g,%.12g" % (
-        row.r_plus + 0.0,
-        row.r_minus + 0.0,
-        row.pi_plus + 0.0,
-        row.pi_minus + 0.0,
-        row.pi + 0.0,
-    )
+    return [
+        "%.12g,%.12g,%.12g,%.12g,%.12g" % (a + 0.0, b + 0.0, c + 0.0, d + 0.0, e + 0.0)
+        for a, b, c, d, e in zip(*columns)
+    ]
 
 
-# ``_row_dict``'s keys in sorted order, which is how ``json`` writes them.
-_JSON_FIELDS = ("pi", "pi_minus", "pi_plus", "r_minus", "r_plus")
-_json_fields = attrgetter(*_JSON_FIELDS)
+# The fields in sorted order, which is how ``json`` writes a node's keys,
+# and the columns they sit in.
+_JSON_FIELDS = tuple(sorted(_FIELDS))
+_JSON_COLUMNS = tuple(map(_FIELDS.index, _JSON_FIELDS))
 
 
 def _dumps(payload: object, depth: int) -> str:
@@ -522,10 +577,10 @@ def _node_map_template(names: Sequence[str], order: Sequence[int], depth: int) -
     return "{" + ",".join(entries) + "\n" + "  " * depth + "}"
 
 
-def _json_values(rows: Mapping[LatticeNode, AtomRow], order: Sequence[int]) -> tuple[float, ...]:
-    """Row values in template order: nodes by ``order``, fields by name."""
-    listed = list(rows.values())
-    return tuple(chain.from_iterable(map(_json_fields, map(listed.__getitem__, order))))
+def _json_values(columns: _Columns, order: Sequence[int]) -> tuple[float, ...]:
+    """Column values in template order: nodes by ``order``, fields by name."""
+    rows = list(zip(*map(columns.__getitem__, _JSON_COLUMNS)))
+    return tuple(chain.from_iterable(map(rows.__getitem__, order)))
 
 
 def _csv_cell(value: str) -> str:
@@ -547,41 +602,32 @@ def _target_cell(
     return ",".join(realisation.target[index(name)] for name in shown)
 
 
-def _clamp(x: float, active: bool) -> float:
-    if active and abs(x) < ZERO_CLAMP:
-        return 0.0
-    return x
-
-
 def _sweep(
-    probs: Sequence[Fraction], lattice: Lattice, base: float
+    ranks: Sequence[int], surprisal: Sequence[float], lattice: Lattice
 ) -> tuple[list[float], list[float]]:
     """Cumulative values and increments of one side at one realisation.
 
-    ``probs[m - 1]`` is the probability of the source event whose
-    predictor bitmask is ``m`` (the order of :func:`source_events`); bit
-    ``m`` stands for it in the lattice's closure masks.  Sources are
-    ranked on the exact probabilities, so ties stay exact and each node's
-    value is the surprisal of its best-ranked member.
+    ``ranks[m]`` is the rank of the probability of the source event whose
+    predictor bitmask is ``m`` (``ranks[0]`` is unused), and
+    ``surprisal[k]`` the surprisal of rank ``k``; rank 0 is the most
+    probable.  Bit ``m`` stands for that source in the lattice's closure
+    masks.  Equal ranks are equal exact probabilities, so ties stay exact
+    and each node's value is the surprisal of its best-ranked member.
     """
     node_at = lattice.node_at
-    order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
-    rank = [0] * (len(probs) + 1)
-    values: list[float] = []
     increments = [0.0] * len(lattice.nodes)
-    surviving = (1 << (len(probs) + 1)) - 2
+    surviving = (1 << len(ranks)) - 2
     previous = 0.0
-    for k, (p, group) in enumerate(groupby(order, probs.__getitem__)):
-        value = -log_of(p, base)
+    order = sorted(range(1, len(ranks)), key=ranks.__getitem__)
+    for k, group in groupby(order, ranks.__getitem__):
+        value = surprisal[k]
         # The sources left are those at least this surprising: an up-set,
         # hence the closure of one node, which carries the whole step.
         increments[node_at[surviving]] = value - previous
-        values.append(value)
         previous = value
-        for i in group:
-            rank[i + 1] = k
-            surviving &= ~(2 << i)
-    cumulative = [values[min(map(rank.__getitem__, m))] for m in lattice.member_masks]
+        for m in group:
+            surviving &= ~(1 << m)
+    cumulative = [surprisal[min(map(ranks.__getitem__, m))] for m in lattice.member_masks]
     return cumulative, increments
 
 
@@ -592,14 +638,18 @@ def _side(
 
     The returned function takes a realisation and its labels at each of
     :func:`source_events`; its node values equal ``rmin_*``'s exactly.
+    The ranks come from the distribution's memo
+    (:meth:`JointDistribution.ranked_conditionals`), and each distinct
+    probability takes one logarithm.
     """
     slots = _component_slots(dist, conditioning)
-    tables = [dist.conditional_masses(a.indices, slots) for a in source_events(dist.n)]
+    masses, tables = dist.ranked_conditionals(slots)
+    surprisal = [-log_of(p, base) for p in masses]
 
     def evaluate(realisation, labels):
         given = tuple(realisation.target[k] for k in slots)
-        probs = [table[own + given] for table, own in zip(tables, labels)]
-        return _sweep(probs, lattice, base)
+        ranks = [0] + [table[own + given] for table, own in zip(tables, labels)]
+        return _sweep(ranks, surprisal, lattice)
 
     return evaluate
 
@@ -625,40 +675,38 @@ def decompose(
     if not target_components:
         raise SchemaError("conditioning on every target component leaves nothing to decompose")
     lattice = lattice_for(dist.n, max_predictors)
-    clamp_active = dist.mode == "rational"
+    clamp = dist.mode == "rational"
     # Specificity conditions on the held components, ambiguity on every one.
     plus_side = _side(dist, lattice, given, base)
     minus_side = _side(dist, lattice, available, base)
     events = source_events(dist.n)
-
-    def solve(realisation: Realisation) -> list[AtomRow]:
-        labels = [realisation.source_labels(a) for a in events]
-        cum_plus, pi_plus = plus_side(realisation, labels)
-        cum_minus, pi_minus = minus_side(realisation, labels)
-        rows: list[AtomRow] = []
-        for r_plus, r_minus, plus, minus in zip(cum_plus, cum_minus, pi_plus, pi_minus):
-            plus = _clamp(plus, clamp_active)
-            minus = _clamp(minus, clamp_active)
-            rows.append(AtomRow(r_plus, r_minus, plus, minus, _clamp(plus - minus, clamp_active)))
-        return rows
-
     support = dist.support
-    solved = [solve(r) for r in support]
-    pointwise = {r: dict(zip(lattice.nodes, rows)) for r, rows in zip(support, solved)}
+    columns: dict[Realisation, _Columns] = {}
+    for realisation in support:
+        labels = [realisation.source_labels(a) for a in events]
+        r_plus, pi_plus = plus_side(realisation, labels)
+        r_minus, pi_minus = minus_side(realisation, labels)
+        if clamp:
+            pi_plus = _clamped(pi_plus)
+            pi_minus = _clamped(pi_minus)
+            pi = _clamped([a - b for a, b in zip(pi_plus, pi_minus)])
+        else:
+            pi = [a - b for a, b in zip(pi_plus, pi_minus)]
+        columns[realisation] = (r_plus, r_minus, pi_plus, pi_minus, pi)
 
     weights = [float(r.p) for r in support]
-    averages: dict[LatticeNode, AtomRow] = {}
-    for j, node in enumerate(lattice.nodes):
-        cells = [rows[j] for rows in solved]
-        averages[node] = AtomRow(
-            *(
-                _clamp(
-                    math.fsum(w * v for w, v in zip(weights, values)), clamp_active
-                )
-                for values in zip(*(_row_values(c) for c in cells))
-            )
-        )
-    return AtomTable(dist, lattice, target_components, given, base, pointwise, averages)
+    averages = tuple(
+        [math.fsum(map(mul, weights, values)) for values in zip(*field)]
+        for field in zip(*columns.values())
+    )
+    if clamp:
+        averages = tuple(map(_clamped, averages))
+    return AtomTable._of_columns(dist, lattice, target_components, given, base, columns, averages)
+
+
+def _clamped(values: list[float]) -> list[float]:
+    """``values`` with every magnitude below :data:`ZERO_CLAMP` made an exact zero."""
+    return [0.0 if -ZERO_CLAMP < x < ZERO_CLAMP else x for x in values]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,11 @@ Data model
   table per projection and one entry per support row, and serve
   :meth:`~JointDistribution.probability`, the decomposition engine, its
   reports and the checks alike.
+* On top of that layer sits one *ranking* per conditioning set of target
+  slots (:meth:`~JointDistribution.ranked_conditionals`): the distinct
+  conditional masses of all ``2**n - 1`` source events, sorted once on
+  the exact fractions, and for each source event's table the integer
+  rank of every mass.  The engine compares ranks instead of fractions.
 
 Two ingestion modes are tracked.  In ``rational`` mode (probability tokens
 like ``1/4``) the total mass must equal one exactly.  In ``decimal`` mode
@@ -272,6 +277,7 @@ def _check_alphabet(name: str, alphabet: tuple[Label, ...]) -> None:
 RawRow = tuple[Fraction, tuple[Label, ...], TargetEvent]
 Assignment = Mapping[str, Union[Label, TargetEvent]]
 MassTable = Mapping[tuple[Label, ...], Fraction]
+RankTable = Mapping[tuple[Label, ...], int]
 
 
 class _Marginal:
@@ -299,9 +305,16 @@ class JointDistribution:
         ...     predictors=("s1", "s2"), target="t")
         >>> d.probability({"t": "1"})
         Fraction(1, 2)
+
+    Two memos sit beside the masses, both filled on first use and never
+    stale: ``_marginals`` holds the exact joint and conditional tables of
+    each projection (:meth:`joint_masses`, :meth:`conditional_masses`),
+    and ``_ranked`` holds, per conditioning set of target slots, the
+    ranking of all source events' conditional masses
+    (:meth:`ranked_conditionals`), at most ``2**arity`` entries.
     """
 
-    __slots__ = ("schema", "mode", "_mass", "_support", "_marginals")
+    __slots__ = ("schema", "mode", "_mass", "_support", "_marginals", "_ranked")
 
     def __init__(
         self,
@@ -355,6 +368,8 @@ class JointDistribution:
         # The masses are immutable, so a table never goes stale, and there
         # are at most 2**n * 2**arity projections to hold.
         object.__setattr__(self, "_marginals", {})
+        # Conditioning slots -> ranked conditionals, at most 2**arity entries.
+        object.__setattr__(self, "_ranked", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("JointDistribution is immutable")
@@ -544,6 +559,45 @@ class JointDistribution:
                 {labels: mass / given[labels[cut:]] for labels, mass in entry.joint.items()}
             )
         return entry.conditional
+
+    def ranked_conditionals(
+        self, components: tuple[int, ...] = ()
+    ) -> tuple[tuple[Fraction, ...], tuple[RankTable, ...]]:
+        """Every source event's conditional masses given ``components``, ranked.
+
+        Returns ``(masses, ranks)``: ``masses`` holds the distinct values
+        of the :meth:`conditional_masses` tables of all ``2**n - 1``
+        source events in descending order, and ``ranks[m - 1]`` maps each
+        key of the table for the source event with predictor bitmask
+        ``m`` (predictor ``i`` is bit ``i - 1``) to the position of its
+        mass in ``masses``.  Equal ranks mean equal fractions, so ties
+        stay exact.  Ranked once per ``components``, then kept.
+
+        >>> d = JointDistribution.from_rows(
+        ...     [("1/2", ("0", "0"), "0"), ("1/4", ("0", "1"), "1"),
+        ...      ("1/4", ("1", "1"), "1")], predictors=("s1", "s2"), target="t")
+        >>> masses, ranks = d.ranked_conditionals()
+        >>> masses
+        (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
+        >>> dict(ranks[0]), dict(ranks[1])
+        ({('0',): 0, ('1',): 2}, {('0',): 1, ('1',): 1})
+        """
+        ranked = self._ranked.get(components)
+        if ranked is not None:
+            return ranked
+        tables = [
+            self.conditional_masses(tuple(i + 1 for i in range(self.n) if m >> i & 1), components)
+            for m in range(1, 1 << self.n)
+        ]
+        masses = tuple(sorted(set().union(*(table.values() for table in tables)), reverse=True))
+        position = {p: k for k, p in enumerate(masses)}
+        ranks = tuple(
+            MappingProxyType({labels: position[p] for labels, p in table.items()})
+            for table in tables
+        )
+        ranked = (masses, ranks)
+        self._ranked[components] = ranked
+        return ranked
 
     def _marginal(self, predictors: tuple[int, ...], components: tuple[int, ...]) -> _Marginal:
         entry = self._marginals.get((predictors, components))

@@ -279,6 +279,31 @@ class TestBadTolerance:
         assert isinstance(result.exception, SystemExit)
 
 
+class TestUnwritableOut:
+    # Writing the artifact is the last step of every command; a path that
+    # cannot be opened is bad input, so it exits 2 like any other.
+    COMMANDS = {
+        "decompose": ("decompose", "--corpus", "and"),
+        "lattice": ("lattice", "2"),
+        "chainrule": ("chainrule", "--corpus", "tbc"),
+        "corpus": ("corpus", "and"),
+        "kelly": ("kelly", "--corpus", "and", "--races", "10"),
+        "verify": ("verify", "--corpus", "and"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_out_exits_two(self, runner, tmp_path, command, where):
+        out = tmp_path / "absent" / "x.out" if where == "missing-parent" else tmp_path
+        result = invoke(runner, *self.COMMANDS[command], "--out", str(out))
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [line for line in result.output.splitlines() if line]
+        assert len(errors) == 1 and f"cannot write {out}" in errors[0]
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestDecimalNormalisation:
     # Ingestion accepts a decimal total within 1e-9 of one; every route
     # must then divide by the same total.

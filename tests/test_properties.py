@@ -165,48 +165,74 @@ def _clamp(x):
     return 0.0 if abs(x) < ZERO_CLAMP else x
 
 
-def mobius_reference(dist, given):
-    """The table ``decompose`` must equal, built by lattice-wide inversion.
+def reference_table(dist, given, base, increments):
+    """A table built row by row from per-source ``rmin_*`` values.
 
-    Per-source values come from ``rmin_*`` (exact probability queries),
-    node values are minima over members, and increments come from
-    :meth:`Lattice.mobius_invert`, clamped and averaged as in rational mode.
-    Also returns, per realisation, the per-source values and the raw
-    increments of both sides.
+    Node values are minima over members; ``increments(lattice, r, h)``
+    turns one side's node values ``r`` and per-source values ``h`` into
+    per-node increments.  Every cell is its own ``AtomRow``, clamped in
+    rational mode as ``decompose`` does, and averages are one ``fsum``
+    per node and field.  Also returns, per realisation, the per-source
+    values and the raw increments of both sides.
     """
     lattice = lattice_for(dist.n)
+    clamp = _clamp if dist.mode == "rational" else float
     components = dist.schema.target_components or (dist.schema.target,)
     targets = tuple(name for name in components if name not in given)
     events = all_events(dist.n)
     pointwise, sides = {}, {}
     for realisation in dist.support:
-        h_plus = {a: rmin_specificity(dist, [a], realisation, given=given) for a in events}
+        h_plus = {
+            a: rmin_specificity(dist, [a], realisation, given=given, base=base) for a in events
+        }
         h_minus = {
-            a: rmin_ambiguity(dist, [a], realisation, components=targets, given=given)
+            a: rmin_ambiguity(dist, [a], realisation, components=targets, given=given, base=base)
             for a in events
         }
         r_plus = {node: min(h_plus[a] for a in node) for node in lattice.nodes}
         r_minus = {node: min(h_minus[a] for a in node) for node in lattice.nodes}
-        pi_plus = lattice.mobius_invert(r_plus)
-        pi_minus = lattice.mobius_invert(r_minus)
+        pi_plus = increments(lattice, r_plus, h_plus)
+        pi_minus = increments(lattice, r_minus, h_minus)
         rows = {}
         for node in lattice.nodes:
-            plus, minus = _clamp(pi_plus[node]), _clamp(pi_minus[node])
-            rows[node] = AtomRow(r_plus[node], r_minus[node], plus, minus, _clamp(plus - minus))
+            plus, minus = clamp(pi_plus[node]), clamp(pi_minus[node])
+            rows[node] = AtomRow(r_plus[node], r_minus[node], plus, minus, clamp(plus - minus))
         pointwise[realisation] = rows
         sides[realisation] = (h_plus, h_minus, pi_plus, pi_minus)
     weights = [float(r.p) for r in dist.support]
     averages = {
         node: AtomRow(
             *(
-                _clamp(math.fsum(w * v for w, v in zip(weights, values)))
+                clamp(math.fsum(w * v for w, v in zip(weights, values)))
                 for values in zip(*(astuple(pointwise[r][node]) for r in dist.support))
             )
         )
         for node in lattice.nodes
     }
-    table = AtomTable(dist, lattice, targets, tuple(given), 2.0, pointwise, averages)
+    table = AtomTable(dist, lattice, targets, tuple(given), base, pointwise, averages)
     return table, sides
+
+
+def mobius_reference(dist, given):
+    """The reference table with increments from lattice-wide inversion.
+
+    :meth:`Lattice.mobius_invert` subtracts over whole down-sets, so its
+    increments can differ from the sweep's in the last bits.
+    """
+    return reference_table(dist, given, 2.0, lambda lattice, r, h: lattice.mobius_invert(r))
+
+
+def cover_reference(dist, given, base):
+    """The reference table with increments from the lower-cover closed form.
+
+    Each increment is one subtraction of two node values, as in the sweep,
+    so this table must equal ``decompose``'s exactly.
+    """
+
+    def increments(lattice, r, h):
+        return {node: closed_form_partial(lattice, node, h) for node in lattice.nodes}
+
+    return reference_table(dist, given, base, increments)[0]
 
 
 sweep_oracle = settings(
@@ -323,6 +349,19 @@ def test_marginal_memo_stays_bounded():
         assert 0 < len(tables) <= bound
         sizes = {key: (len(e.joint), len(e.conditional or ())) for key, e in tables.items()}
         assert all(max(size) <= len(dist.support) for size in sizes.values())
+        ranked = dist._ranked
+        assert 0 < len(ranked) <= 2 ** dist.schema.target_arity()
+        for slots, (masses, ranks) in ranked.items():
+            assert list(masses) == sorted(set(masses), reverse=True)
+            assert len(ranks) == len(all_events(dist.n))
+            for m, rank in enumerate(ranks, 1):
+                positions = tuple(i + 1 for i in range(dist.n) if m >> i & 1)
+                table = dist.conditional_masses(positions, slots)
+                assert set(rank) == set(table)
+                assert all(masses[rank[labels]] == p for labels, p in table.items())
+        memo = (dict(tables), dict(ranked))
+        run_all(dist)
+        assert (dict(tables), dict(ranked)) == memo
         realisation = dist.support[0]
         absent = {name: "absent" for name in dist.schema.predictors}
         assert dist.probability(absent) == 0
@@ -436,6 +475,61 @@ def test_reports_and_checks_match_per_node_values(seed, n, arity):
     ):
         worst = check(dist, table).worst
         assert check(dist).worst == worst == per_node_rmin_deviation(dist, variants)
+
+
+def with_near_ties(dist):
+    """``dist`` with row masses moved by +-1/10**30 in pairs (total kept).
+
+    Probabilities that were exactly tied become distinct fractions that
+    round to the same float, and so to the same surprisal.
+    """
+    shift = Fraction(1, 10**30)
+    rows = [[r.p, r.predictors, r.target] for r in dist.support]
+    for k in range(0, len(rows) - 1, 2):
+        rows[k][0] += shift
+        rows[k + 1][0] -= shift
+    schema = dist.schema
+    return JointDistribution.from_rows(
+        rows,
+        predictors=schema.predictors,
+        target=schema.target,
+        target_components=schema.target_components,
+    )
+
+
+@sweep_oracle
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3, 4]),
+    arity=st.sampled_from([1, 2, 3]),
+    conditional=st.booleans(),
+    masses=st.sampled_from(["rational", "decimal", "near-ties"]),
+    base=st.sampled_from([2.0, 10.0]),
+)
+def test_ranked_sweep_and_columns_match_row_by_row_reference(
+    seed, n, arity, conditional, masses, base
+):
+    dist = random_multi_target_distribution(random.Random(seed), n, arity, masses == "decimal")
+    if masses == "near-ties":
+        dist = with_near_ties(dist)
+    held = ("t1",) if arity > 1 and conditional else ()
+    table = decompose(dist, given=held, base=base)
+    reference = cover_reference(dist, held, base)
+    assert table.realisations == dist.support
+    assert list(table.pointwise) == list(dist.support)
+    for realisation in dist.support:
+        assert dict(table.pointwise[realisation]) == dict(reference.pointwise[realisation])
+    assert dict(table.averages) == dict(reference.averages)
+    for which in ("both", "pointwise", "average"):
+        assert table.to_csv(which) == reference.to_csv(which)
+        assert table.to_json(which) == reference.to_json(which)
+    realisation, node = dist.support[0], table.nodes[0]
+    with pytest.raises(TypeError):
+        table.pointwise[realisation] = {}
+    with pytest.raises(TypeError):
+        table.pointwise[realisation][node] = reference.averages[node]
+    with pytest.raises(TypeError):
+        table.averages[node] = reference.averages[node]
 
 
 def trimmed_json(table, which):
