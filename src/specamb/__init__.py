@@ -65,7 +65,6 @@ from specamb.measures import (
     InfoValue,
     ambiguity,
     average,
-    co_information,
     mutual_information,
     pointwise_conditional_entropy,
     pointwise_entropy,
@@ -101,7 +100,6 @@ __all__ = [
     "ambiguity",
     "average",
     "build_corpus",
-    "co_information",
     "coarsening_invariance_report",
     "decompose",
     "dumps_json",

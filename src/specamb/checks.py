@@ -99,9 +99,19 @@ def _table(
     base: float,
     max_predictors: int,
 ) -> AtomTable:
-    if table is not None:
-        return table
-    return decompose(dist, base=base, max_predictors=max_predictors)
+    """``table``, or a fresh decomposition of ``dist`` when none is given.
+
+    A given table must decompose ``dist`` (or an equal distribution) in
+    ``base``: the checks compare its values with ones recomputed from
+    ``dist`` in ``base``, so any other table would fail them spuriously.
+    """
+    if table is None:
+        return decompose(dist, base=base, max_predictors=max_predictors)
+    if table.base != base:
+        raise DistributionError(f"the table is in base {table.base!r}, the check in base {base!r}")
+    if table.dist is not dist and table.dist != dist:
+        raise DistributionError("the table decomposes a different distribution")
+    return table
 
 
 def check_mass_normalisation(
@@ -417,7 +427,7 @@ def check_target_chain_rule(
 ) -> CheckResult:
     """Redundancy about a composite target telescopes over its components."""
     if dist.schema.target_components is None:
-        raise ValueError("the chain rule applies to composite targets only")
+        raise SchemaError("the chain rule applies to composite targets only")
     worst = 0.0
     names = dist.schema.target_components
     orders = [names, tuple(reversed(names))]
@@ -446,7 +456,7 @@ def check_conditional_corollaries(
     """
     names = dist.schema.target_components
     if names is None or len(names) < 2:
-        raise ValueError("conditional corollaries need at least two target components")
+        raise SchemaError("conditional corollaries need at least two target components")
     lattice = lattice_for(dist.n, max_predictors)
     reduced = {name: dist.compose_targets((name,)) for name in names}
     slots = {name: dist.schema.component_index(name) for name in names}

@@ -134,49 +134,8 @@ def decompose_cmd(corpus_name, input_path, epsilon, targets, pointwise_only,
         which = "pointwise"
     elif average_only and not pointwise_only:
         which = "average"
-    if fmt == "csv":
-        _emit(table.to_csv(which), out)
-    elif fmt == "json":
-        _emit(table.to_json(which), out)
-    else:
-        _emit(_pretty_table(table, which), out)
-
-
-def _pretty_table(table, which: str) -> str:
-    labels = table._atom_labels()
-    names = table.lattice.names
-    lines: list[str] = []
-    width = max(map(len, names)) + 2
-
-    def block(title, columns):
-        lines.append(title)
-        lines.append(f"  {'node':<{width}}{'atom':<6}{'r+':>12}{'r-':>12}"
-                     f"{'pi+':>12}{'pi-':>12}{'pi':>12}")
-        for name, node, (r_plus, r_minus, pi_plus, pi_minus, pi) in zip(
-            names, table.nodes, zip(*columns)
-        ):
-            lines.append(
-                f"  {name:<{width}}{labels.get(node, ''):<6}"
-                f"{r_plus:>12.6g}{r_minus:>12.6g}"
-                f"{pi_plus:>12.6g}{pi_minus:>12.6g}{pi:>12.6g}"
-            )
-
-    if which in ("pointwise", "both"):
-        for realisation, columns in table._columns.items():
-            preds = ", ".join(
-                f"{n}={v}" for n, v in zip(table.dist.schema.predictors,
-                                           realisation.predictors)
-            )
-            target = ",".join(realisation.target)
-            block(f"realisation p={realisation.p}  {preds}  "
-                  f"{table.dist.schema.target}={target}", columns)
-            lines.append("")
-    if which in ("average", "both"):
-        block("averages", table._average_columns)
-        lines.append("")
-        lines.append(f"total information: {float(table.total()):.6g} "
-                     f"(base {table.base:g})")
-    return "\n".join(lines)
+    writers = {"csv": table.to_csv, "json": table.to_json, "pretty": table.to_pretty}
+    _emit(writers[fmt](which), out)
 
 
 @main.command(name="lattice")

@@ -45,19 +45,22 @@ takes one logarithm; a sweep then only compares integer ranks, so the
 minimum in step 1, the ranking and ties in step 2 and every equality the
 reports check are immune to float noise.
 
-:func:`decompose` stores its result by column: per realisation, five
+:func:`decompose` builds its result by column: per realisation, five
 float lists (``r_plus``, ``r_minus``, ``pi_plus``, ``pi_minus``, ``pi``)
 indexed by node position, each clamped in one pass in rational mode,
 and five lists of support averages, one ``math.fsum`` per node and
-field.  The :class:`AtomRow` views of :attr:`AtomTable.pointwise` and
-:attr:`AtomTable.averages` are built only when first read.
+field.  It hands these columns to the one :class:`AtomTable`
+constructor.  The :class:`AtomRow` views of :attr:`AtomTable.pointwise`
+and :attr:`AtomTable.averages` are built only when first read.
 
-An :class:`AtomTable` writes itself as CSV (:meth:`AtomTable.to_csv`) or
-JSON (:meth:`AtomTable.to_json`).  The JSON text is exactly
+An :class:`AtomTable` writes itself in all three output formats: CSV
+(:meth:`AtomTable.to_csv`), JSON (:meth:`AtomTable.to_json`) and aligned
+text (:meth:`AtomTable.to_pretty`).  The JSON text is exactly
 ``json.dumps(payload, indent=2, sort_keys=True)`` of
 :meth:`AtomTable.to_json_dict`, written from per-table text templates
-instead of through ``json``'s pure-Python indenting encoder; both
-writers label nodes with the lattice's precomputed :attr:`Lattice.names`.
+instead of through ``json``'s pure-Python indenting encoder.  The writers
+label nodes with the lattice's precomputed :attr:`Lattice.names`, and
+no code outside this module reads the column layout.
 """
 
 from __future__ import annotations
@@ -258,21 +261,22 @@ def node_redundancy(
 class AtomTable:
     """Pointwise and averaged lattice increments for one decomposition.
 
-    The table is stored by column.  Each support realisation has five
-    float lists, ``r_plus``, ``r_minus``, ``pi_plus``, ``pi_minus`` and
-    ``pi`` (the :class:`AtomRow` fields), indexed by node position in
-    lattice order (:attr:`Lattice.nodes`); five more lists hold the
-    support averages.  The writers, :meth:`total` and
-    :meth:`pointwise_sums` read the columns and label nodes with
-    :attr:`Lattice.names`.
+    The table is stored by column, and the constructor takes the
+    columns as they are stored: ``columns`` maps each support realisation,
+    in support order, to five float lists, ``r_plus``, ``r_minus``,
+    ``pi_plus``, ``pi_minus`` and ``pi`` (the :class:`AtomRow` fields),
+    indexed by node position in lattice order (:attr:`Lattice.nodes`);
+    ``average_columns`` holds the five lists of support averages.  The
+    table keeps these lists without copying them.  The writers,
+    :meth:`total` and :meth:`pointwise_sums` read the columns and label
+    nodes with :attr:`Lattice.names`.
 
     ``pointwise`` (``{realisation: {node: AtomRow}}``) and ``averages``
     (``{node: AtomRow}``) are read-only views of the same values, keyed
     in lattice order, built the first time they are read and then kept.
-    The constructor takes rows in that form, in any node order, and
-    converts them to columns once.  ``to_csv`` and ``to_json`` write the
-    two output formats; ``to_json`` is ``json.dumps(..., indent=2,
-    sort_keys=True)`` of :meth:`to_json_dict`, byte for byte.
+    ``to_csv``, ``to_json`` and ``to_pretty`` write the three output
+    formats; ``to_json`` is ``json.dumps(..., indent=2, sort_keys=True)``
+    of :meth:`to_json_dict`, byte for byte.
     """
 
     __slots__ = (
@@ -288,34 +292,6 @@ class AtomTable:
     )
 
     def __init__(
-        self,
-        dist: JointDistribution,
-        lattice: Lattice,
-        target_components: tuple[str, ...],
-        given_components: tuple[str, ...],
-        base: float,
-        pointwise: Mapping[Realisation, Mapping[LatticeNode, AtomRow]],
-        averages: Mapping[LatticeNode, AtomRow],
-    ) -> None:
-        nodes = lattice.nodes
-        self._init(
-            dist,
-            lattice,
-            target_components,
-            given_components,
-            base,
-            {r: _columns_of(rows, nodes) for r, rows in pointwise.items()},
-            _columns_of(averages, nodes),
-        )
-
-    @classmethod
-    def _of_columns(cls, *values: object) -> "AtomTable":
-        """A table from columns: the arguments of :meth:`_init`, in its order."""
-        table = cls.__new__(cls)
-        table._init(*values)
-        return table
-
-    def _init(
         self,
         dist: JointDistribution,
         lattice: Lattice,
@@ -521,16 +497,52 @@ class AtomTable:
             text = _fill(text, "pointwise", 0, block)
         return text
 
+    def to_pretty(self, which: str = "both") -> str:
+        """Aligned text for reading.  ``which`` is ``pointwise``, ``average`` or ``both``.
+
+        One block per realisation, titled with its mass, predictor events
+        and target event, then one block of averages followed by the total
+        information; each block lists every node with its atom name and
+        the five values at ``%.6g``.  Blocks are separated by a blank line.
+        """
+        _check_selection(which)
+        labels = self._atom_labels()
+        names = self.lattice.names
+        width = max(map(len, names)) + 2
+        header = (
+            f"  {'node':<{width}}{'atom':<6}{'r+':>12}{'r-':>12}"
+            f"{'pi+':>12}{'pi-':>12}{'pi':>12}"
+        )
+        node_cells = [
+            f"  {name:<{width}}{labels.get(node, ''):<6}" for name, node in zip(names, self.nodes)
+        ]
+
+        def block(title: str, columns: _Columns) -> str:
+            rows = (
+                cell + "".join(f"{v:>12.6g}" for v in values)
+                for cell, values in zip(node_cells, zip(*columns))
+            )
+            return "\n".join([title, header, *rows])
+
+        schema = self.dist.schema
+        blocks: list[str] = []
+        if which != "average":
+            for realisation, columns in self._columns.items():
+                preds = ", ".join(
+                    f"{n}={v}" for n, v in zip(schema.predictors, realisation.predictors)
+                )
+                target = ",".join(realisation.target)
+                title = f"realisation p={realisation.p}  {preds}  {schema.target}={target}"
+                blocks.append(block(title, columns))
+        if which != "pointwise":
+            blocks.append(block("averages", self._average_columns))
+            blocks.append(f"total information: {float(self.total()):.6g} (base {self.base:g})")
+        return "\n\n".join(blocks) + "\n"
+
 
 def _check_selection(which: str) -> None:
     if which not in ("pointwise", "average", "both"):
         raise ValueError(f"unknown table selection {which!r}")
-
-
-def _columns_of(rows: Mapping[LatticeNode, AtomRow], nodes: tuple[LatticeNode, ...]) -> _Columns:
-    """The five value columns of ``rows``, read in ``nodes`` order."""
-    ordered = [rows[node] for node in nodes]
-    return tuple([getattr(row, field) for row in ordered] for field in _FIELDS)
 
 
 def _node_dicts(names: Sequence[str], columns: _Columns) -> dict[str, dict[str, float]]:
@@ -701,7 +713,7 @@ def decompose(
     )
     if clamp:
         averages = tuple(map(_clamped, averages))
-    return AtomTable._of_columns(dist, lattice, target_components, given, base, columns, averages)
+    return AtomTable(dist, lattice, target_components, given, base, columns, averages)
 
 
 def _clamped(values: list[float]) -> list[float]:

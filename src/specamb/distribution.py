@@ -19,7 +19,9 @@ Data model
   (with a :class:`DuplicateRowWarning`), and a negative net mass is an
   error.
 * Distributions are immutable.  All transforms (:meth:`~JointDistribution.marginal`,
-  :meth:`~JointDistribution.condition`, and friends) return new objects.
+  :meth:`~JointDistribution.compose_targets`,
+  :meth:`~JointDistribution.coarsen_target_to_two_events`) return new
+  objects.
 * Every probability is read off one exact marginal layer.  A *projection*
   is a tuple of predictor positions plus a tuple of target-component
   slots; the first query on a projection sums the support once into a
@@ -416,17 +418,11 @@ class JointDistribution:
             else:
                 event = tuple(tgt)
             raw.append((_as_fraction(p), tuple(preds), event))
-        n_components = len(target_components) if target_components is not None else 1
-        for _, _, event in raw:
-            if len(event) != n_components:
-                raise SchemaError(
-                    f"target event {event!r} has {len(event)} components, expected {n_components}"
-                )
         return _assemble(
             raw,
             predictors=tuple(predictors) if predictors is not None else None,
             target=target,
-            target_components=tuple(target_components) if target_components else None,
+            target_components=tuple(target_components) if target_components is not None else None,
             mode=mode,
         )
 
@@ -506,11 +502,6 @@ class JointDistribution:
         label).
         """
         by_predictor, by_component = self._resolve(assignment)
-        return self._mass_where(by_predictor, by_component)
-
-    def _mass_where(
-        self, by_predictor: Mapping[int, Label], by_component: Mapping[int, Label]
-    ) -> Fraction:
         predictors = sorted(by_predictor)
         components = tuple(sorted(by_component))
         table = self.joint_masses(tuple(i + 1 for i in predictors), components)
@@ -658,38 +649,6 @@ class JointDistribution:
             preds = tuple(row.predictors[i] for i in keep_preds)
             target = tuple(row.target[k] for k in keep_comps)
             raw.append((row.p, preds, target))
-        new_target, new_components = _reduced_target(schema, keep_comps)
-        return _assemble(
-            raw,
-            predictors=tuple(schema.predictors[i] for i in keep_preds),
-            target=new_target,
-            target_components=new_components,
-            mode=self.mode,
-            merged_ok=True,
-        )
-
-    def condition(self, evidence: Assignment) -> "JointDistribution":
-        """Normalised distribution over the remaining variables."""
-        by_predictor, by_component = self._resolve(evidence)
-        denom = self._mass_where(by_predictor, by_component)
-        if denom == 0:
-            raise MassError(f"conditioning event has zero probability: {dict(evidence)!r}")
-        schema = self.schema
-        keep_preds = [i for i in range(schema.n) if i not in by_predictor]
-        keep_comps = [k for k in range(self.schema.target_arity()) if k not in by_component] if (
-            schema.target is not None
-        ) else []
-        if not keep_preds and not keep_comps:
-            raise SchemaError("conditioning on every variable leaves nothing")
-        raw: list[RawRow] = []
-        for row in self._support:
-            if any(row.predictors[i] != v for i, v in by_predictor.items()):
-                continue
-            if any(row.target[k] != v for k, v in by_component.items()):
-                continue
-            preds = tuple(row.predictors[i] for i in keep_preds)
-            target = tuple(row.target[k] for k in keep_comps)
-            raw.append((row.p / denom, preds, target))
         new_target, new_components = _reduced_target(schema, keep_comps)
         return _assemble(
             raw,

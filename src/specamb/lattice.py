@@ -238,20 +238,9 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __contains__(self, node: LatticeNode) -> bool:
-        return node in self._umask
-
     def _check(self, node: LatticeNode) -> None:
         if node not in self._umask:
             raise SchemaError(f"{node} is not a node of the n={self.n} lattice")
-
-    @property
-    def bottom(self) -> LatticeNode:
-        return self.nodes[0]
-
-    @property
-    def top(self) -> LatticeNode:
-        return self.nodes[-1]
 
     def leq(self, alpha: LatticeNode, beta: LatticeNode) -> bool:
         self._check(alpha)
@@ -274,11 +263,6 @@ class Lattice:
         """The immediate predecessors (transitive reduction edges into node)."""
         self._check(node)
         return self._covers[node]
-
-    def meet(self, alpha: LatticeNode, beta: LatticeNode) -> LatticeNode:
-        self._check(alpha)
-        self._check(beta)
-        return meet(alpha, beta)
 
     def mobius_invert(
         self, cumulative: Mapping[LatticeNode, float]

@@ -42,7 +42,6 @@ __all__ = [
     "specificity",
     "ambiguity",
     "pointwise_mutual_information",
-    "co_information",
     "average",
     "mutual_information",
 ]
@@ -93,18 +92,6 @@ def log_of(p: Fraction, base: float) -> float:
     if base == 2.0:
         return bits
     return bits / math.log2(base)
-
-
-def surprisal_of(p: object, base: float = 2.0) -> float:
-    """Plain ``-log p`` for an exact probability.
-
-    Accepts anything ``Fraction`` accepts, including rational strings.
-
-    >>> surprisal_of(Fraction(1, 4))
-    2.0
-    """
-    validate_base(base)
-    return -log_of(Fraction(p), base)  # type: ignore[arg-type]
 
 
 def _assignment(
@@ -259,26 +246,6 @@ def pointwise_mutual_information(
     posterior = _conditional_probability(dist, target_event, {**source_event, **given})
     prior = _conditional_probability(dist, target_event, given)
     return InfoValue(log_of(posterior, base) - log_of(prior, base), base)
-
-
-def co_information(
-    dist: JointDistribution, realisation: Realisation, base: float = 2.0
-) -> InfoValue:
-    """Bivariate pointwise co-information ``i(s1;t) + i(s2;t) - i(s1,s2;t)``.
-
-    Positive values indicate overlap of the two individual informations,
-    negative values indicate synergy; unlike the lattice decomposition it
-    conflates the two, which is what makes it a useful diagnostic foil.
-    """
-    validate_base(base)
-    if dist.n != 2:
-        raise SchemaError("co-information is defined here for two predictors")
-    parts = [
-        pointwise_mutual_information(dist, realisation, SourceEvent.of(1), base=base).value,
-        pointwise_mutual_information(dist, realisation, SourceEvent.of(2), base=base).value,
-        pointwise_mutual_information(dist, realisation, SourceEvent.of(1, 2), base=base).value,
-    ]
-    return InfoValue(parts[0] + parts[1] - parts[2], base)
 
 
 def average(

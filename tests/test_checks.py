@@ -6,15 +6,35 @@ from specamb.checks import (
     CheckResult,
     check_bivariate_consistency,
     check_closed_form_agreement,
+    check_conditional_corollaries,
     check_lattice_monotonicity,
     check_mass_normalisation,
+    check_member_permutation,
+    check_mobius_reconstruction,
     check_partial_nonnegativity,
+    check_pointwise_sums,
     check_recombination_identity,
+    check_superset_irrelevance,
+    check_target_chain_rule,
+    check_total_information,
     run_all,
 )
 from specamb.corpus import CORPUS_NAMES, build
 from specamb.decomposition import decompose
-from specamb.distribution import SchemaError
+from specamb.distribution import DistributionError, SchemaError
+
+# Every check that accepts a prebuilt table.
+TABLE_CHECKS = [
+    check_member_permutation,
+    check_superset_irrelevance,
+    check_lattice_monotonicity,
+    check_partial_nonnegativity,
+    check_mobius_reconstruction,
+    check_closed_form_agreement,
+    check_pointwise_sums,
+    check_total_information,
+    check_bivariate_consistency,
+]
 
 
 class TestRunAll:
@@ -84,6 +104,31 @@ class TestIndividualChecks:
         dist = build("tbep")
         with pytest.raises(SchemaError):
             check_bivariate_consistency(dist, decompose(dist))
+
+
+@pytest.mark.parametrize("check", TABLE_CHECKS, ids=lambda check: check.__name__)
+class TestGivenTable:
+    def test_table_in_another_base_rejected(self, check):
+        dist = build("and")
+        with pytest.raises(DistributionError, match="base 10.0"):
+            check(dist, decompose(dist, base=10.0))
+
+    def test_table_of_another_distribution_rejected(self, check):
+        with pytest.raises(DistributionError, match="different distribution"):
+            check(build("and"), decompose(build("xor")))
+
+    def test_table_in_the_check_base_passes(self, check):
+        dist = build("and")
+        assert check(dist, decompose(dist, base=10.0), base=10.0).ok
+
+    def test_table_of_an_equal_distribution_passes(self, check):
+        assert check(build("and"), decompose(build("and"))).ok
+
+
+@pytest.mark.parametrize("check", [check_target_chain_rule, check_conditional_corollaries])
+def test_chain_checks_reject_a_scalar_target(check):
+    with pytest.raises(SchemaError):
+        check(build("and"))
 
 
 class TestCheckResult:

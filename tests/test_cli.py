@@ -20,6 +20,20 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args))
 
 
+# ``decompose --corpus and --format pretty --average``, captured before the
+# pretty writer moved from the CLI into ``AtomTable.to_pretty``.
+AND_PRETTY_AVERAGES = (
+    "averages\n"
+    "  node    atom            r+          r-         pi+         pi-          pi\n"
+    "  {1}{2}  R                1    0.438722           1    0.438722    0.561278\n"
+    "  {1}     U1               1    0.688722           0        0.25       -0.25\n"
+    "  {2}     U2               1    0.688722           0        0.25       -0.25\n"
+    "  {12}    C                2     1.18872           1        0.25        0.75\n"
+    "\n"
+    "total information: 0.811278 (base 2)\n"
+)
+
+
 class TestDecompose:
     def test_average_csv_golden(self, runner):
         result = invoke(runner, "decompose", "--corpus", "xor", "--average")
@@ -69,6 +83,44 @@ class TestDecompose:
         result = invoke(runner, "decompose", "--corpus", "xor", "--format", "pretty")
         assert result.exit_code == 0
         assert "total information: 1" in result.output
+
+    def test_pretty_golden(self, runner):
+        result = invoke(runner, "decompose", "--corpus", "and", "--format", "pretty")
+        assert result.exit_code == 0
+        header = "  node    atom            r+          r-         pi+         pi-          pi\n"
+        assert result.output == (
+            "realisation p=1/4  s1=0, s2=0  t=0\n" + header
+            + "  {1}{2}  R                1    0.584963           1    0.584963    0.415037\n"
+            "  {1}     U1               1    0.584963           0           0           0\n"
+            "  {2}     U2               1    0.584963           0           0           0\n"
+            "  {12}    C                2     1.58496           1           1           0\n"
+            "\n"
+            "realisation p=1/4  s1=0, s2=1  t=0\n" + header
+            + "  {1}{2}  R                1    0.584963           1    0.584963    0.415037\n"
+            "  {1}     U1               1    0.584963           0           0           0\n"
+            "  {2}     U2               1     1.58496           0           1          -1\n"
+            "  {12}    C                2     1.58496           1           0           1\n"
+            "\n"
+            "realisation p=1/4  s1=1, s2=0  t=0\n" + header
+            + "  {1}{2}  R                1    0.584963           1    0.584963    0.415037\n"
+            "  {1}     U1               1     1.58496           0           1          -1\n"
+            "  {2}     U2               1    0.584963           0           0           0\n"
+            "  {12}    C                2     1.58496           1           0           1\n"
+            "\n"
+            "realisation p=1/4  s1=1, s2=1  t=1\n" + header
+            + "  {1}{2}  R                1          -0           1           0           1\n"
+            "  {1}     U1               1          -0           0           0           0\n"
+            "  {2}     U2               1          -0           0           0           0\n"
+            "  {12}    C                2          -0           1           0           1\n"
+            "\n" + AND_PRETTY_AVERAGES
+        )
+
+    def test_pretty_average_golden(self, runner):
+        result = invoke(
+            runner, "decompose", "--corpus", "and", "--format", "pretty", "--average"
+        )
+        assert result.exit_code == 0
+        assert result.output == AND_PRETTY_AVERAGES
 
     def test_epsilon_flows_into_corpus(self, runner):
         half = invoke(

@@ -204,6 +204,11 @@ class TestSerialisation:
         with pytest.raises(ValueError):
             decompose(build("xor")).to_csv("everything")
 
+    @pytest.mark.parametrize("writer", ["to_json", "to_pretty"])
+    def test_other_writers_validate_which(self, writer):
+        with pytest.raises(ValueError, match="unknown table selection 'everything'"):
+            getattr(decompose(build("xor")), writer)("everything")
+
     def test_json_dict_structure(self):
         payload = decompose(build("xor")).to_json_dict()
         assert payload["nodes"] == ["{1}{2}", "{1}", "{2}", "{12}"]

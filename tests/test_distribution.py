@@ -192,15 +192,6 @@ class TestTransforms:
         with pytest.raises(SchemaError):
             xor().marginal(())
 
-    def test_condition_renormalises_exactly(self):
-        dist = xor().condition({"s1": "0"})
-        assert dist.probability({"s2": "0", "t": "0"}) == Fraction(1, 2)
-        assert sum(dist.mass.values(), Fraction(0)) == 1
-
-    def test_condition_on_zero_mass_event_rejected(self):
-        with pytest.raises(MassError):
-            xor().condition({"s1": "9"})
-
     def test_coarsen_target_to_two_events(self):
         rows = [("1/3", ("a",), "x"), ("1/3", ("b",), "y"), ("1/3", ("c",), "z")]
         dist = JointDistribution.from_rows(rows, predictors=("s",), target="t")

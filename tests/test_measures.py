@@ -8,21 +8,19 @@ import pytest
 from specamb.distribution import (
     JointDistribution,
     MassError,
-    SchemaError,
     SourceEvent,
 )
 from specamb.measures import (
     InfoValue,
     ambiguity,
     average,
-    co_information,
     log_of,
     mutual_information,
     pointwise_conditional_entropy,
     pointwise_entropy,
     pointwise_mutual_information,
     specificity,
-    surprisal_of,
+    validate_base,
 )
 
 LG3 = math.log2(3)
@@ -58,16 +56,13 @@ class TestInfoValue:
     def test_repr_names_units(self):
         assert "bits" in repr(InfoValue(1.0))
 
-    def test_surprisal_of(self):
-        assert float(surprisal_of("1/8")) == 3.0
-
     def test_bad_base_rejected(self):
         with pytest.raises(ValueError):
-            surprisal_of("1/2", base=1.0)
+            validate_base(1.0)
 
     def test_zero_probability_rejected(self):
         with pytest.raises(MassError):
-            surprisal_of(0)
+            log_of(Fraction(0), 2.0)
 
     def test_log_outside_float_range(self):
         # 1/10**400 rounds to 0.0 as a float and 10**400 overflows one;
@@ -164,22 +159,6 @@ class TestPointwiseMutualInformation:
         real = dist.realisation(("0", "1"), ("0", "1", "1"))
         about_t1 = pointwise_mutual_information(dist, real, SourceEvent.of(1), components=("t1",))
         assert float(about_t1) == 1.0
-
-    def test_co_information_is_pmi_overlap(self):
-        dist = and_gate()
-        for real in dist.support:
-            left = float(co_information(dist, real))
-            parts = (
-                float(pointwise_mutual_information(dist, real, SourceEvent.of(1)))
-                + float(pointwise_mutual_information(dist, real, SourceEvent.of(2)))
-                - float(pointwise_mutual_information(dist, real, SourceEvent.of(1, 2)))
-            )
-            assert left == pytest.approx(parts, abs=1e-12)
-
-    def test_co_information_needs_two_predictors(self):
-        sub = tbc().marginal(("s1", "t"))
-        with pytest.raises(SchemaError):
-            co_information(sub, sub.support[0])
 
 
 class TestAverages:

@@ -172,8 +172,9 @@ def reference_table(dist, given, base, increments):
     turns one side's node values ``r`` and per-source values ``h`` into
     per-node increments.  Every cell is its own ``AtomRow``, clamped in
     rational mode as ``decompose`` does, and averages are one ``fsum``
-    per node and field.  Also returns, per realisation, the per-source
-    values and the raw increments of both sides.
+    per node and field; the rows are then laid out as the table's
+    columns.  Also returns, per realisation, the per-source values and
+    the raw increments of both sides.
     """
     lattice = lattice_for(dist.n)
     clamp = _clamp if dist.mode == "rational" else float
@@ -209,8 +210,21 @@ def reference_table(dist, given, base, increments):
         )
         for node in lattice.nodes
     }
-    table = AtomTable(dist, lattice, targets, tuple(given), base, pointwise, averages)
+    table = AtomTable(
+        dist,
+        lattice,
+        targets,
+        tuple(given),
+        base,
+        {r: by_column(lattice, rows) for r, rows in pointwise.items()},
+        by_column(lattice, averages),
+    )
     return table, sides
+
+
+def by_column(lattice, rows):
+    """The five value columns of ``{node: AtomRow}``, in lattice order."""
+    return tuple(map(list, zip(*(astuple(rows[node]) for node in lattice.nodes))))
 
 
 def mobius_reference(dist, given):
@@ -523,6 +537,7 @@ def test_ranked_sweep_and_columns_match_row_by_row_reference(
     for which in ("both", "pointwise", "average"):
         assert table.to_csv(which) == reference.to_csv(which)
         assert table.to_json(which) == reference.to_json(which)
+        assert table.to_pretty(which) == reference.to_pretty(which)
     realisation, node = dist.support[0], table.nodes[0]
     with pytest.raises(TypeError):
         table.pointwise[realisation] = {}
