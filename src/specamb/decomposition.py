@@ -519,7 +519,7 @@ class AtomTable:
 
         def block(title: str, columns: _Columns) -> str:
             rows = (
-                cell + "".join(f"{v:>12.6g}" for v in values)
+                cell + "".join(f"{v + 0.0:>12.6g}" for v in values)
                 for cell, values in zip(node_cells, zip(*columns))
             )
             return "\n".join([title, header, *rows])

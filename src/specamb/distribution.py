@@ -2,10 +2,12 @@
 
 This module is the data layer for the decomposition machinery.  A
 :class:`JointDistribution` holds the joint probability mass of ``n``
-predictor variables and one target variable.  Masses are stored as
-:class:`fractions.Fraction`, so every marginal, conditional and coarsened
-probability downstream is exact; logarithms are taken only at the point
-where an information value in bits is actually reported.
+predictor variables and one target variable.  Each support mass is kept
+as a :class:`fractions.Fraction` and as an integer weight over one common
+denominator, the least common multiple of the masses' denominators, so
+every marginal, conditional and coarsened probability downstream is exact
+and is summed in integers; logarithms are taken only at the point where
+an information value in bits is actually reported.
 
 Data model
 ----------
@@ -24,18 +26,22 @@ Data model
   objects.
 * Every probability is read off one exact marginal layer.  A *projection*
   is a tuple of predictor positions plus a tuple of target-component
-  slots; the first query on a projection sums the support once into a
-  table with the mass of every realised label combination, and a
-  conditional view divides each of those masses once by the mass of its
-  component labels.  Both are kept on the distribution, at most one
-  table per projection and one entry per support row, and serve
+  slots; the first query on a projection sums the support's integer
+  weights once into a table with the weight of every realised label
+  combination.  Its joint view divides each weight by the common
+  denominator, and its conditional view by the weight of its component
+  labels; each view is built as fractions on first request.  All are
+  kept on the distribution, at most one table per projection and one
+  entry per support row, and serve
   :meth:`~JointDistribution.probability`, the decomposition engine, its
   reports and the checks alike.
 * On top of that layer sits one *ranking* per conditioning set of target
   slots (:meth:`~JointDistribution.ranked_conditionals`): the distinct
-  conditional masses of all ``2**n - 1`` source events, sorted once on
-  the exact fractions, and for each source event's table the integer
-  rank of every mass.  The engine compares ranks instead of fractions.
+  conditional masses of all ``2**n - 1`` source events, each a reduced
+  pair of integer weights, sorted once by their correctly rounded float
+  quotients, with runs of equal floats sorted again on the exact
+  fractions, and for each source event's table the integer rank of
+  every mass.  The engine compares ranks instead of fractions.
 
 Two ingestion modes are tracked.  In ``rational`` mode (probability tokens
 like ``1/4``) the total mass must equal one exactly.  In ``decimal`` mode
@@ -60,10 +66,13 @@ component labels for composite targets).
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Literal, Union
 
@@ -283,13 +292,24 @@ RankTable = Mapping[tuple[Label, ...], int]
 
 
 class _Marginal:
-    """One projection's exact masses, and their conditional view once asked for."""
+    """One projection's integer weights, and its exact views once asked for."""
 
-    __slots__ = ("joint", "conditional")
+    __slots__ = ("weights", "joint", "conditional")
 
-    def __init__(self, joint: MassTable) -> None:
-        self.joint = joint
+    def __init__(self, weights: dict[tuple[Label, ...], int]) -> None:
+        self.weights = weights
+        self.joint: Union[MassTable, None] = None
         self.conditional: Union[MassTable, None] = None
+
+
+def _labels_getter(positions: Sequence[int]) -> Callable[[tuple[Label, ...]], tuple[Label, ...]]:
+    """A function picking ``positions`` out of a label tuple, always as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (k,) = positions
+        return lambda labels: (labels[k],)
+    return lambda labels: ()
 
 
 def _first_appearance(labels: Iterable[Label]) -> tuple[Label, ...]:
@@ -308,15 +328,21 @@ class JointDistribution:
         >>> d.probability({"t": "1"})
         Fraction(1, 2)
 
-    Two memos sit beside the masses, both filled on first use and never
-    stale: ``_marginals`` holds the exact joint and conditional tables of
-    each projection (:meth:`joint_masses`, :meth:`conditional_masses`),
-    and ``_ranked`` holds, per conditioning set of target slots, the
-    ranking of all source events' conditional masses
-    (:meth:`ranked_conditionals`), at most ``2**arity`` entries.
+    Every support mass is also held as an integer weight over one common
+    denominator, ``_scale``, the least common multiple of the masses'
+    denominators: row ``k`` has mass ``_weights[k] / _scale`` exactly.
+    Two memos sit beside them, both filled on first use and never stale:
+    ``_marginals`` holds each projection's integer weights, summed once,
+    and the exact joint and conditional :class:`~fractions.Fraction`
+    tables built from them when first asked for (:meth:`joint_masses`,
+    :meth:`conditional_masses`); ``_ranked`` holds, per conditioning set
+    of target slots, the ranking of all source events' conditional
+    masses (:meth:`ranked_conditionals`), at most ``2**arity`` entries.
     """
 
-    __slots__ = ("schema", "mode", "_mass", "_support", "_marginals", "_ranked")
+    __slots__ = (
+        "schema", "mode", "_mass", "_support", "_scale", "_weights", "_marginals", "_ranked"
+    )
 
     def __init__(
         self,
@@ -351,24 +377,29 @@ class JointDistribution:
                 raise SchemaError(f"target event {target!r} is not in the alphabet")
             if p <= 0:
                 raise MassError(f"support mass must be positive, got {p} at {preds!r}")
-            validated[(preds, target)] = Fraction(p)
+            validated[(preds, target)] = p if isinstance(p, Fraction) else Fraction(p)
         if not validated:
             raise MassError("the support is empty")
-        total = sum(validated.values())
+        scale = math.lcm(*(p.denominator for p in validated.values()))
+        weights = tuple(p.numerator * (scale // p.denominator) for p in validated.values())
+        total = sum(weights)
         if mode == "rational":
-            if total != 1:
-                raise MassError(f"mass sums to {total}, expected exactly 1")
-        elif abs(float(total) - 1.0) > DECIMAL_MASS_TOL:
-            raise MassError(f"mass sums to {float(total)!r}, expected 1 within 1e-9")
+            if total != scale:
+                raise MassError(f"mass sums to {Fraction(total, scale)}, expected exactly 1")
+        elif abs(total / scale - 1.0) > DECIMAL_MASS_TOL:
+            raise MassError(f"mass sums to {total / scale!r}, expected 1 within 1e-9")
         object.__setattr__(self, "_mass", MappingProxyType(validated))
         object.__setattr__(
             self,
             "_support",
             tuple(Realisation(preds, target, p) for (preds, target), p in validated.items()),
         )
-        # The exact marginal layer: projection -> tables, filled on first use.
-        # The masses are immutable, so a table never goes stale, and there
-        # are at most 2**n * 2**arity projections to hold.
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_weights", weights)
+        # The exact marginal layer: projection -> integer weights and their
+        # views, filled on first use.  The masses are immutable, so a table
+        # never goes stale, and there are at most 2**n * 2**arity
+        # projections to hold.
         object.__setattr__(self, "_marginals", {})
         # Conditioning slots -> ranked conditionals, at most 2**arity entries.
         object.__setattr__(self, "_ranked", {})
@@ -443,7 +474,7 @@ class JointDistribution:
 
     @property
     def total_mass(self) -> Fraction:
-        return sum(self._mass.values(), Fraction(0))
+        return Fraction(sum(self._weights), self._scale)
 
     def realisation(
         self, predictors: Sequence[Label], target: Union[Label, Sequence[Label], None] = None
@@ -522,8 +553,10 @@ class JointDistribution:
         :class:`SourceEvent`, and ``components`` lists 0-based slots of the
         target event; both are strictly increasing tuples.  Keys are the
         predictor labels followed by the component labels; a combination
-        with no mass has no key.  The table is built by one pass over the
-        support the first time its projection is asked for, then kept.
+        with no mass has no key.  The projection's integer weights are
+        summed by one pass over the support the first time it is asked
+        for; this table divides each by the common denominator once, then
+        is kept.
 
         >>> d = JointDistribution.from_rows(
         ...     [("1/2", ("0", "0"), "0"), ("1/4", ("0", "1"), "1"),
@@ -531,23 +564,30 @@ class JointDistribution:
         >>> dict(d.joint_masses((2,), (0,)))
         {('0', '0'): Fraction(1, 2), ('1', '1'): Fraction(1, 2)}
         """
-        return self._marginal(predictors, components).joint
+        entry = self._marginal(predictors, components)
+        if entry.joint is None:
+            scale = self._scale
+            entry.joint = MappingProxyType(
+                {labels: Fraction(w, scale) for labels, w in entry.weights.items()}
+            )
+        return entry.joint
 
     def conditional_masses(
         self, predictors: tuple[int, ...], components: tuple[int, ...] = ()
     ) -> MassTable:
         """``p(predictor labels | component labels)`` for every realised combination.
 
-        Same projection and keys as :meth:`joint_masses`.  Each joint mass
-        is divided once by the mass of its component labels, or by the
-        total mass when ``components`` is empty, and the result is kept.
+        Same projection and keys as :meth:`joint_masses`.  Each joint
+        weight is divided once by the weight of its component labels, or
+        by the total weight when ``components`` is empty, and the result
+        is kept.
         """
         entry = self._marginal(predictors, components)
         if entry.conditional is None:
-            given = self._marginal((), components).joint
+            given = self._marginal((), components).weights
             cut = len(predictors)
             entry.conditional = MappingProxyType(
-                {labels: mass / given[labels[cut:]] for labels, mass in entry.joint.items()}
+                {labels: Fraction(w, given[labels[cut:]]) for labels, w in entry.weights.items()}
             )
         return entry.conditional
 
@@ -564,6 +604,15 @@ class JointDistribution:
         mass in ``masses``.  Equal ranks mean equal fractions, so ties
         stay exact.  Ranked once per ``components``, then kept.
 
+        The ranking reads the integer weights: each conditional is the
+        reduced pair ``(w // g, d // g)`` of its joint weight ``w`` and
+        given weight ``d``, with ``g = gcd(w, d)``, so equal values are
+        equal pairs.  The distinct pairs are sorted by ``w / d``; integer
+        true division rounds correctly, so that order is monotone in the
+        exact value, and only runs of equal floats (near ties, or values
+        below the smallest normal float, which all read ``0.0``) are
+        sorted again on exact fractions.
+
         >>> d = JointDistribution.from_rows(
         ...     [("1/2", ("0", "0"), "0"), ("1/4", ("0", "1"), "1"),
         ...      ("1/4", ("1", "1"), "1")], predictors=("s1", "s2"), target="t")
@@ -576,14 +625,31 @@ class JointDistribution:
         ranked = self._ranked.get(components)
         if ranked is not None:
             return ranked
-        tables = [
-            self.conditional_masses(tuple(i + 1 for i in range(self.n) if m >> i & 1), components)
-            for m in range(1, 1 << self.n)
-        ]
-        masses = tuple(sorted(set().union(*(table.values() for table in tables)), reverse=True))
-        position = {p: k for k, p in enumerate(masses)}
+        given = self._marginal((), components).weights
+        gcd = math.gcd
+        tables = []
+        for m in range(1, 1 << self.n):
+            predictors = tuple(i + 1 for i in range(self.n) if m >> i & 1)
+            cut = len(predictors)
+            table = {}
+            for labels, w in self._marginal(predictors, components).weights.items():
+                d = given[labels[cut:]]
+                g = gcd(w, d)
+                table[labels] = (w // g, d // g)
+            tables.append(table)
+        quotient = {pair: pair[0] / pair[1] for table in tables for pair in table.values()}
+        order: list[tuple[int, int]] = []
+        for _, run in groupby(
+            sorted(quotient, key=quotient.__getitem__, reverse=True), quotient.__getitem__
+        ):
+            run = list(run)
+            if len(run) > 1:
+                run.sort(key=lambda pair: Fraction(*pair), reverse=True)
+            order.extend(run)
+        masses = tuple(Fraction(w, d) for w, d in order)
+        position = {pair: k for k, pair in enumerate(order)}
         ranks = tuple(
-            MappingProxyType({labels: position[p] for labels, p in table.items()})
+            MappingProxyType({labels: position[pair] for labels, pair in table.items()})
             for table in tables
         )
         ranked = (masses, ranks)
@@ -603,13 +669,13 @@ class JointDistribution:
                     f"bad projection {(predictors, components)!r} for {self.n} predictors "
                     f"and {arity} target components"
                 )
-        joint: dict[tuple[Label, ...], Fraction] = {}
-        for row in self._support:
-            labels = tuple(row.predictors[i - 1] for i in predictors) + tuple(
-                row.target[k] for k in components
-            )
-            joint[labels] = joint.get(labels, 0) + row.p
-        entry = _Marginal(MappingProxyType(joint))
+        # A row's key is read off ``row.predictors + row.target``.
+        key = _labels_getter([i - 1 for i in predictors] + [self.n + k for k in components])
+        weights: dict[tuple[Label, ...], int] = {}
+        for row, w in zip(self._support, self._weights):
+            labels = key(row.predictors + row.target)
+            weights[labels] = weights.get(labels, 0) + w
+        entry = _Marginal(weights)
         self._marginals[(predictors, components)] = entry
         return entry
 

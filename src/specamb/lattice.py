@@ -235,9 +235,6 @@ class Lattice:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Lattice is immutable")
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def _check(self, node: LatticeNode) -> None:
         if node not in self._umask:
             raise SchemaError(f"{node} is not a node of the n={self.n} lattice")

@@ -108,10 +108,10 @@ class TestDecompose:
             "  {12}    C                2     1.58496           1           0           1\n"
             "\n"
             "realisation p=1/4  s1=1, s2=1  t=1\n" + header
-            + "  {1}{2}  R                1          -0           1           0           1\n"
-            "  {1}     U1               1          -0           0           0           0\n"
-            "  {2}     U2               1          -0           0           0           0\n"
-            "  {12}    C                2          -0           1           0           1\n"
+            + "  {1}{2}  R                1           0           1           0           1\n"
+            "  {1}     U1               1           0           0           0           0\n"
+            "  {2}     U2               1           0           0           0           0\n"
+            "  {12}    C                2           0           1           0           1\n"
             "\n" + AND_PRETTY_AVERAGES
         )
 

@@ -361,7 +361,7 @@ def test_marginal_memo_stays_bounded():
         bound = 2**dist.n * 2 ** dist.schema.target_arity()
         tables = dist._marginals
         assert 0 < len(tables) <= bound
-        sizes = {key: (len(e.joint), len(e.conditional or ())) for key, e in tables.items()}
+        sizes = {key: (len(e.weights), len(e.conditional or ())) for key, e in tables.items()}
         assert all(max(size) <= len(dist.support) for size in sizes.values())
         ranked = dist._ranked
         assert 0 < len(ranked) <= 2 ** dist.schema.target_arity()
@@ -381,7 +381,7 @@ def test_marginal_memo_stays_bounded():
         assert dist.probability(absent) == 0
         assert dist.probability({dist.schema.predictors[0]: "absent"}) == 0
         assert rmin_specificity(dist, [SourceEvent.of(1)], realisation) >= 0
-        assert {key: (len(e.joint), len(e.conditional or ())) for key, e in tables.items()} == sizes
+        assert {key: (len(e.weights), len(e.conditional or ())) for key, e in tables.items()} == sizes
 
 
 def random_multi_target_distribution(rng, n, arity, decimal=False):
@@ -545,6 +545,100 @@ def test_ranked_sweep_and_columns_match_row_by_row_reference(
         table.pointwise[realisation][node] = reference.averages[node]
     with pytest.raises(TypeError):
         table.averages[node] = reference.averages[node]
+
+
+def integer_layer_distribution(rng, n, arity, family):
+    """4 to 12 rows over ``n`` predictors and ``arity`` target components.
+
+    ``family`` picks the masses: ``weights`` (integer weights 1..9 over
+    their total, so exact ties are common), ``near-ties`` (the same, moved
+    by +-1/10**30), ``decimal`` (12-place decimals), ``coprime`` (``1/p``
+    for distinct primes ``p``, the remainder on the last row, so the
+    common denominator is their product) or ``tiny`` (``k/10**400`` for
+    ``k`` = 1, 2, 3, 5, all below the smallest normal float, and the
+    remainder spread over the other rows by integer weights).
+    """
+    sizes = [2] + [rng.randint(1, 2 if n == 4 else 3) for _ in range(n - 1)]
+    if arity == 1:
+        events = [(str(k),) for k in range(rng.randint(2, 3))]
+    else:
+        events = list(product("01", repeat=arity))
+    cells = list(product(*[[str(v) for v in range(size)] for size in sizes], events))
+    cells = rng.sample(cells, rng.randint(4, min(12, len(cells))))
+    weights = [rng.randint(1, 9) for _ in cells]
+    total = sum(weights)
+    if family == "coprime":
+        primes = rng.sample([5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41], len(cells) - 1)
+        masses = [Fraction(1, p) for p in primes]
+        masses.append(1 - sum(masses))
+    elif family == "tiny":
+        masses = [Fraction(k, 10**400) for k in (1, 2, 3, 5)][: len(cells) - 1]
+        rest, spread = 1 - sum(masses), weights[len(masses):]
+        masses += [rest * w / sum(spread) for w in spread]
+    elif family == "decimal":
+        masses = [f"{w / total:.12f}" for w in weights]
+    else:
+        masses = [Fraction(w, total) for w in weights]
+    dist = JointDistribution.from_rows(
+        [(p, cell[:-1], cell[-1]) for p, cell in zip(masses, cells)],
+        predictors=tuple(f"s{i}" for i in range(1, n + 1)),
+        target="t",
+        target_components=tuple(f"t{k}" for k in range(1, arity + 1)) if arity > 1 else None,
+        mode="decimal" if family == "decimal" else "rational",
+    )
+    return with_near_ties(dist) if family == "near-ties" else dist
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3, 4]),
+    arity=st.sampled_from([1, 2, 3]),
+    family=st.sampled_from(["weights", "near-ties", "decimal", "coprime", "tiny"]),
+)
+def test_integer_marginal_layer_matches_fraction_sums(seed, n, arity, family):
+    # The reference sums each projection's Fractions row by row and ranks
+    # the conditionals by sorting the Fractions themselves.
+    dist = integer_layer_distribution(random.Random(seed), n, arity, family)
+    assert dist.total_mass == sum((row.p for row in dist.support), Fraction(0))
+    slot_sets = [c for size in range(arity + 1) for c in combinations(range(arity), size)]
+    for slots in slot_sets:
+        given = {}
+        for row in dist.support:
+            labels = tuple(row.target[k] for k in slots)
+            given[labels] = given.get(labels, Fraction(0)) + row.p
+        conditionals = []
+        # Mask m projects onto the predictors whose bits are set, the
+        # order ranked_conditionals uses; mask 0 is the empty projection.
+        for m in range(1 << n):
+            positions = tuple(i + 1 for i in range(n) if m >> i & 1)
+            joint = {}
+            for row in dist.support:
+                labels = tuple(row.predictors[i - 1] for i in positions) + tuple(
+                    row.target[k] for k in slots
+                )
+                joint[labels] = joint.get(labels, Fraction(0)) + row.p
+            conditional = {
+                labels: p / given[labels[len(positions):]] for labels, p in joint.items()
+            }
+            assert dict(dist.joint_masses(positions, slots)) == joint
+            assert dict(dist.conditional_masses(positions, slots)) == conditional
+            conditionals.append(conditional)
+        masses = sorted(set().union(*(table.values() for table in conditionals[1:])), reverse=True)
+        rank = {p: k for k, p in enumerate(masses)}
+        ranks = tuple(
+            {labels: rank[p] for labels, p in table.items()} for table in conditionals[1:]
+        )
+        got_masses, got_ranks = dist.ranked_conditionals(slots)
+        assert got_masses == tuple(masses)
+        assert tuple(map(dict, got_ranks)) == ranks
+    held = ("t1",) if arity > 1 else ()
+    assert decompose(dist, given=held).to_csv() == cover_reference(dist, held, 2.0).to_csv()
 
 
 def trimmed_json(table, which):
