@@ -20,6 +20,11 @@ Data model
   ingestion (with a :class:`ZeroMassRowWarning`), duplicate rows are summed
   (with a :class:`DuplicateRowWarning`), and a negative net mass is an
   error.
+* Each row is checked once.  :class:`JointDistribution` checks every row
+  it is given: its arity, its labels against the schema's alphabets (one
+  column at a time) and a positive mass, read off its integer weight.
+  Ingestion merges duplicates, drops zero rows (checking only those) and
+  derives the schema, looking for an empty label once per alphabet.
 * Distributions are immutable.  All transforms (:meth:`~JointDistribution.marginal`,
   :meth:`~JointDistribution.compose_targets`,
   :meth:`~JointDistribution.coarsen_target_to_two_events`) return new
@@ -34,7 +39,9 @@ Data model
   kept on the distribution, at most one table per projection and one
   entry per support row, and serve
   :meth:`~JointDistribution.probability`, the decomposition engine, its
-  reports and the checks alike.
+  reports, the checks, the race markets of :mod:`specamb.kelly`, and the
+  projections :meth:`~JointDistribution.marginal` and
+  :meth:`~JointDistribution.compose_targets` alike.
 * On top of that layer sits one *ranking* per conditioning set of target
   slots (:meth:`~JointDistribution.ranked_conditionals`): the distinct
   conditional masses of all ``2**n - 1`` source events, each a reduced
@@ -71,7 +78,7 @@ import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice, zip_longest
 from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Literal, Union
@@ -354,38 +361,42 @@ class JointDistribution:
             raise SchemaError(f"unknown mode {mode!r}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "mode", mode)
-        # Target events are checked one component at a time, against sets.
-        if schema.target is None:
-            allowed: list[set[Label]] = []
-        elif schema.target_component_alphabets is not None:
-            allowed = [set(alphabet) for alphabet in schema.target_component_alphabets]
-        else:
-            allowed = [{event[0] for event in schema.target_alphabet or ()}]
-        validated: dict[tuple[tuple[Label, ...], TargetEvent], Fraction] = {}
-        for (preds, target), p in mass.items():
-            if len(preds) != schema.n:
-                raise SchemaError(
-                    f"outcome {preds!r} has {len(preds)} predictor events, "
-                    f"schema expects {schema.n}"
-                )
-            if schema.target is None:
-                if target != ():
-                    raise SchemaError("target event given for a target-free distribution")
-            elif len(target) != len(allowed) or any(
-                label not in labels for label, labels in zip(target, allowed)
-            ):
-                raise SchemaError(f"target event {target!r} is not in the alphabet")
-            if p <= 0:
-                raise MassError(f"support mass must be positive, got {p} at {preds!r}")
-            validated[(preds, target)] = p if isinstance(p, Fraction) else Fraction(p)
+        # Every row given is checked here: its arity, its labels (one column
+        # at a time, against the schema's alphabets) and its mass.
+        validated = {key: p if isinstance(p, Fraction) else Fraction(p) for key, p in mass.items()}
         if not validated:
             raise MassError("the support is empty")
+        n = schema.n
+        target_alphabets: tuple[tuple[Label, ...], ...] = ()
+        if schema.target_component_alphabets is not None:
+            target_alphabets = schema.target_component_alphabets
+        elif schema.target_alphabet is not None:
+            target_alphabets = (tuple(event[0] for event in schema.target_alphabet),)
+        arity = len(target_alphabets)
+        all_preds, all_targets = zip(*validated)
+        if set(map(len, all_preds)) != {n} or set(map(len, all_targets)) != {arity}:
+            bad = next(key for key in validated if (len(key[0]), len(key[1])) != (n, arity))
+            raise SchemaError(
+                f"outcome {bad!r} does not have {n} predictor events and {arity} target components"
+            )
+        names = (*schema.predictors, *(schema.target_components or (schema.target,)))
+        alphabets = (*schema.predictor_alphabets, *target_alphabets)
+        for name, column, alphabet in zip(names, (*zip(*all_preds), *zip(*all_targets)), alphabets):
+            unknown = set(column).difference(alphabet)
+            if unknown:
+                label = next(label for label in column if label in unknown)
+                raise SchemaError(f"label {label!r} of {name!r} is not in its alphabet {alphabet!r}")
         scale = math.lcm(*(p.denominator for p in validated.values()))
         weights = tuple(p.numerator * (scale // p.denominator) for p in validated.values())
+        if min(weights) <= 0:
+            (preds, _), p = next(row for row, w in zip(validated.items(), weights) if w <= 0)
+            raise MassError(f"support mass must be positive, got {p} at {preds!r}")
         total = sum(weights)
         if mode == "rational":
             if total != scale:
                 raise MassError(f"mass sums to {Fraction(total, scale)}, expected exactly 1")
+        elif total > 2 * scale:  # out of tolerance, and perhaps out of float range
+            raise MassError("mass sums to more than 2, expected 1 within 1e-9")
         elif abs(total / scale - 1.0) > DECIMAL_MASS_TOL:
             raise MassError(f"mass sums to {total / scale!r}, expected 1 within 1e-9")
         object.__setattr__(self, "_mass", MappingProxyType(validated))
@@ -710,20 +721,7 @@ class JointDistribution:
             keep_comps = []
         if not keep_preds and not keep_comps:
             raise SchemaError("a marginal needs at least one variable")
-        raw: list[RawRow] = []
-        for row in self._support:
-            preds = tuple(row.predictors[i] for i in keep_preds)
-            target = tuple(row.target[k] for k in keep_comps)
-            raw.append((row.p, preds, target))
-        new_target, new_components = _reduced_target(schema, keep_comps)
-        return _assemble(
-            raw,
-            predictors=tuple(schema.predictors[i] for i in keep_preds),
-            target=new_target,
-            target_components=new_components,
-            mode=self.mode,
-            merged_ok=True,
-        )
+        return self._project(keep_preds, keep_comps)
 
     def coarsen_target_to_two_events(
         self, event: Union[Label, Sequence[Label]]
@@ -765,27 +763,23 @@ class JointDistribution:
             raise SchemaError("at least one component is required")
         if len(set(order)) != len(order):
             raise SchemaError(f"repeated components in {components!r}")
-        raw: list[RawRow] = []
-        for row in self._support:
-            raw.append((row.p, row.predictors, tuple(row.target[k] for k in order)))
-        kept = tuple(self.schema.target_components[k] for k in order)
-        if len(kept) == 1:
-            return _assemble(
-                raw,
-                predictors=self.schema.predictors,
-                target=kept[0],
-                target_components=None,
-                mode=self.mode,
-                merged_ok=True,
-            )
-        return _assemble(
-            raw,
-            predictors=self.schema.predictors,
-            target=self.schema.target,
-            target_components=kept,
-            mode=self.mode,
-            merged_ok=True,
-        )
+        return self._project(range(self.n), order)
+
+    def _project(self, keep_preds: Sequence[int], keep_comps: Sequence[int]) -> "JointDistribution":
+        """The distribution of some predictors and target slots, off the marginal layer.
+
+        ``keep_preds`` lists 0-based predictor positions in increasing
+        order, ``keep_comps`` target slots in the order the result keeps
+        them.  The masses are :meth:`joint_masses` of the projection.
+        """
+        slots = tuple(sorted(keep_comps))
+        cut = len(keep_preds)
+        target_of = _labels_getter([cut + slots.index(k) for k in keep_comps])
+        table = self.joint_masses(tuple(i + 1 for i in keep_preds), slots)
+        target, components = _reduced_target(self.schema, keep_comps)
+        mass = {(labels[:cut], target_of(labels)): p for labels, p in table.items()}
+        predictors = tuple(self.schema.predictors[i] for i in keep_preds)
+        return _build(mass, predictors, target, components, self.mode)
 
 
 def _reduced_target(
@@ -824,7 +818,7 @@ def _split_target(value: str, arity: int) -> TargetEvent:
 def _as_fraction(p: object) -> Fraction:
     if isinstance(p, Fraction):
         return p
-    if isinstance(p, int):
+    if isinstance(p, int) and not isinstance(p, bool):
         return Fraction(p)
     if isinstance(p, str):
         try:
@@ -847,10 +841,13 @@ def _assemble(
     mode: Mode,
     merged_ok: bool = False,
 ) -> JointDistribution:
-    """Merge, warn, validate, derive alphabets, and build the distribution.
+    """Merge duplicate rows, drop zero rows, and build the distribution.
 
-    ``merged_ok`` silences the duplicate warning for internal transforms,
-    where merging is the expected effect of marginalising.
+    The distribution checks every row it is given.  A row dropped here,
+    for zero mass or because duplicates cancelled, never reaches it, so
+    its arity and labels are checked here.  ``merged_ok`` silences the
+    duplicate warning for internal transforms, where merging is the
+    expected effect.
     """
     if not rows:
         raise MassError("no rows given")
@@ -859,58 +856,70 @@ def _assemble(
         predictors = tuple(f"s{i}" for i in range(1, n + 1))
     if len(predictors) != n:
         raise SchemaError(f"{len(predictors)} predictor names for {n} columns")
-    if target is not None:
-        arity = len(target_components) if target_components is not None else 1
-        for _, _, event in rows:
-            if len(event) != arity:
-                raise SchemaError(
-                    f"target event {event!r} has {len(event)} components, expected {arity}"
-                )
 
     merged: dict[tuple[tuple[Label, ...], TargetEvent], Fraction] = {}
-    duplicates = 0
-    zero_rows = 0
+    dropped: list[tuple[tuple[Label, ...], TargetEvent]] = []
     for p, preds, event in rows:
-        if len(preds) != n:
-            raise SchemaError(f"row {preds!r} has {len(preds)} predictors, expected {n}")
-        if any(label == "" for label in preds) or any(label == "" for label in event):
-            raise FormatError(f"empty event label in row {(preds, event)!r}")
-        if p == 0:
-            zero_rows += 1
-            continue
         key = (preds, event)
-        if key in merged:
-            duplicates += 1
+        if not p:
+            dropped.append(key)
+        elif key in merged:
             merged[key] += p
         else:
             merged[key] = p
+    duplicates = len(rows) - len(dropped) - len(merged)
+    if duplicates:
+        cancelled = [key for key, p in merged.items() if not p]
+        for key in cancelled:
+            del merged[key]
+        dropped += cancelled
+    arity = len(target_components) if target_components is not None else int(target is not None)
+    for preds, event in dropped:
+        if len(preds) != n or len(event) != arity:
+            raise SchemaError(
+                f"row {(preds, event)!r} does not have {n} predictors "
+                f"and {arity} target components"
+            )
+        if "" in preds or "" in event:
+            raise FormatError(f"empty event label in row {(preds, event)!r}")
     if duplicates and not merged_ok:
         warnings.warn(
             f"summed {duplicates} duplicate outcome row(s)", DuplicateRowWarning, stacklevel=3
         )
-    for key, p in list(merged.items()):
-        if p < 0:
-            raise MassError(f"outcome {key!r} has negative mass {p} after merging")
-        if p == 0:
-            zero_rows += 1
-            del merged[key]
-    if zero_rows and not merged_ok:
+    if dropped and not merged_ok:
         warnings.warn(
-            f"dropped {zero_rows} zero-probability row(s)", ZeroMassRowWarning, stacklevel=3
+            f"dropped {len(dropped)} zero-probability row(s)", ZeroMassRowWarning, stacklevel=3
         )
+    if not merged:
+        raise MassError("every row has zero mass")
+    return _build(merged, predictors, target, target_components, mode)
 
-    pred_alphabets = tuple(
-        _first_appearance(preds[i] for preds, _ in merged) for i in range(n)
-    )
+
+def _build(
+    mass: dict[tuple[tuple[Label, ...], TargetEvent], Fraction],
+    predictors: tuple[str, ...],
+    target: Union[str, None],
+    target_components: Union[tuple[str, ...], None],
+    mode: Mode,
+) -> JointDistribution:
+    """Derive the schema of a merged, nonempty support and build the distribution.
+
+    Alphabets list labels in order of first appearance.  An empty label
+    is a :class:`FormatError`, looked for once per alphabet; every other
+    check of a row is the distribution's own.
+    """
+    all_preds, all_targets = zip(*mass)
+    pred_alphabets = _columns(_first_appearance(all_preds), len(predictors))
     target_alphabet: Union[tuple[TargetEvent, ...], None] = None
     component_alphabets: Union[tuple[tuple[Label, ...], ...], None] = None
     if target is not None:
+        target_alphabet = _first_appearance(all_targets)
         if target_components is not None:
-            component_alphabets = tuple(
-                _first_appearance(event[k] for _, event in merged)
-                for k in range(len(target_components))
-            )
-        target_alphabet = _first_appearance(event for _, event in merged)
+            component_alphabets = _columns(target_alphabet, len(target_components))
+    alphabets = (*pred_alphabets, *(component_alphabets or ()))
+    if any("" in alphabet for alphabet in alphabets) or ("",) in (target_alphabet or ()):
+        row = next(key for key in mass if "" in key[0] or "" in key[1])
+        raise FormatError(f"empty event label in row {row!r}")
     schema = VariableSchema(
         predictors=predictors,
         predictor_alphabets=pred_alphabets,
@@ -919,7 +928,16 @@ def _assemble(
         target_components=target_components,
         target_component_alphabets=component_alphabets,
     )
-    return JointDistribution(schema, merged, mode=mode)
+    return JointDistribution(schema, mass, mode=mode)
+
+
+def _columns(rows: Iterable[tuple[Label, ...]], width: int) -> tuple[tuple[Label, ...], ...]:
+    """The labels of each of the first ``width`` columns, by first appearance.
+
+    A short row leaves ``None`` in a column; the row itself then fails
+    an arity check, the schema's or the distribution's.
+    """
+    return tuple(_first_appearance(column) for column in islice(zip_longest(*rows), width))
 
 
 # ----------------------------------------------------------------------
@@ -1006,11 +1024,11 @@ def loads_json(text: str) -> JointDistribution:
     schema = payload.get("schema", {})
     if not isinstance(schema, dict):
         raise FormatError('"schema" must be an object')
-    predictors = schema.get("predictors")
+    predictors = _json_names(schema, "predictors")
     target = schema.get("target", "t")
-    components = schema.get("target_components")
-    if components is not None:
-        components = tuple(components)
+    if not isinstance(target, str):
+        raise FormatError('"target" must be a string')
+    components = _json_names(schema, "target_components")
     rows = payload["mass"]
     if not isinstance(rows, list) or not rows:
         raise FormatError('"mass" must be a nonempty array')
@@ -1029,23 +1047,40 @@ def loads_json(text: str) -> JointDistribution:
         p = _as_fraction(p_token)
         *pred_labels, tgt = outcome
         if isinstance(tgt, list):
-            event = tuple(str(label) for label in tgt)
+            event = _json_labels(tgt)
         elif components is not None:
-            event = _split_target(str(tgt), len(components))
+            event = _split_target(_json_labels([tgt])[0], len(components))
         else:
-            event = (str(tgt),)
+            event = _json_labels([tgt])
         if components is not None and len(event) != len(components):
             raise FormatError(f"target event {tgt!r} has the wrong arity")
-        raw.append((p, tuple(str(label) for label in pred_labels), event))
+        raw.append((p, _json_labels(pred_labels), event))
     if components is None and any(len(event) > 1 for _, _, event in raw):
         components = tuple(f"t{k}" for k in range(1, len(raw[0][2]) + 1))
     return _assemble(
         raw,
-        predictors=tuple(predictors) if predictors is not None else None,
+        predictors=predictors,
         target=target,
         target_components=components,
         mode="decimal" if decimal else "rational",
     )
+
+
+def _json_names(schema: dict, key: str) -> Union[tuple[str, ...], None]:
+    names = schema.get(key)
+    if names is None:
+        return None
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise FormatError(f'"{key}" must be a list of strings')
+    return tuple(names)
+
+
+def _json_labels(values: list) -> tuple[Label, ...]:
+    """Event labels from JSON strings or integers (decimals arrive as strings)."""
+    for value in values:
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
+            raise FormatError(f"an event label must be a string or a number, got {value!r}")
+    return tuple(map(str, values))
 
 
 def load_distribution(

@@ -91,19 +91,23 @@ class RaceMarket:
         for name in wire_names:
             if name not in known:
                 raise SchemaError(f"wire variable {name!r} is not a predictor")
-        p_target: dict[tuple[str, ...], Fraction] = {}
-        p_wire: dict[tuple[str, ...], Fraction] = {}
-        p_joint: dict[tuple[tuple[str, ...], tuple[str, ...]], Fraction] = {}
-        slots = [known.index(name) for name in wire_names]
+        # joint_masses keys list the wire labels in predictor order; a
+        # message lists them in wire order.
+        positions = tuple(sorted(known.index(name) + 1 for name in wire_names))
+        cut = len(positions)
+        order = [positions.index(known.index(name) + 1) for name in wire_names]
+        components = tuple(range(joint.schema.target_arity()))
         # Divide by the total, which decimal-mode input only matches to 1e-9.
         total = joint.total_mass
-        for (preds, target), mass in joint.mass.items():
-            p = mass / total
-            msg = tuple(preds[i] for i in slots)
-            p_target[target] = p_target.get(target, Fraction(0)) + p
-            p_wire[msg] = p_wire.get(msg, Fraction(0)) + p
-            key = (msg, target)
-            p_joint[key] = p_joint.get(key, Fraction(0)) + p
+        p_target = {t: p / total for t, p in joint.joint_masses((), components).items()}
+        p_wire = {
+            tuple(labels[k] for k in order): p / total
+            for labels, p in joint.joint_masses(positions).items()
+        }
+        p_joint = {
+            (tuple(labels[k] for k in order), labels[cut:]): p / total
+            for labels, p in joint.joint_masses(positions, components).items()
+        }
         if odds is None:
             book = {t: Fraction(1) / p for t, p in p_target.items()}
         else:
@@ -133,7 +137,7 @@ class RaceMarket:
 
     def book_sum(self) -> Fraction:
         """Sum of reciprocal payouts; 1 means no track take."""
-        return sum((Fraction(1) / o for o in self.odds.values()), Fraction(0))
+        return sum(1 / o for o in self.odds.values())
 
     def _require_fair(self, operation: str) -> None:
         if not self.is_fair:
@@ -331,10 +335,7 @@ def accumulator_log_return(
     same value.
     """
     validate_base(base)
-    product = Fraction(1)
-    for ratio in _leg_ratios(market, s, t, order):
-        product *= ratio
-    return InfoValue(log_of(product, base), base)
+    return InfoValue(log_of(math.prod(_leg_ratios(market, s, t, order)), base), base)
 
 
 def _leg_ratios(
@@ -360,30 +361,27 @@ def _leg_ratios(
     msg = market.message(s)
     event = _as_target(market.joint, t)
     slots = [schema.component_index(name) for name in names]
+    # joint_masses keys list the wire labels in predictor order.
+    wire = sorted(zip((schema.predictors.index(name) + 1 for name in market.wire), msg))
+    positions = tuple(i for i, _ in wire)
+    wire_labels = tuple(label for _, label in wire)
+    joint = market.joint
+    # The masses of (msg, settled components) and of the settled components
+    # alone; the total mass cancels out of every ratio.
+    prev = (joint.joint_masses(positions)[wire_labels], joint.total_mass)
     ratios: list[Fraction] = []
-    settled: list[tuple[int, str]] = []
+    settled: dict[int, str] = {}
     for slot in slots:
-        p_msg_prev, p_prev = _masses(market, msg, settled)
-        settled.append((slot, event[slot]))
-        p_msg_next, p_next = _masses(market, msg, settled)
-        if not p_msg_next or not p_next:
+        settled[slot] = event[slot]
+        given = tuple(sorted(settled))
+        labels = tuple(settled[k] for k in given)
+        with_msg = joint.joint_masses(positions, given).get(wire_labels + labels)
+        if with_msg is None:
             raise MassError(
                 f"leg {schema.target_components[slot]!r}={event[slot]!r} "
                 f"has zero probability"
             )
-        ratios.append((p_msg_next / p_msg_prev) / (p_next / p_prev))
+        alone = joint.joint_masses((), given)[labels]
+        ratios.append((with_msg / prev[0]) / (alone / prev[1]))
+        prev = (with_msg, alone)
     return ratios
-
-
-def _masses(
-    market: RaceMarket, msg: tuple[str, ...], settled: list[tuple[int, str]]
-) -> tuple[Fraction, Fraction]:
-    with_msg = Fraction(0)
-    total = Fraction(0)
-    for (row_msg, target), p in market._p_joint.items():
-        if any(target[slot] != label for slot, label in settled):
-            continue
-        total += p
-        if row_msg == msg:
-            with_msg += p
-    return with_msg, total

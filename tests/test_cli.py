@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +19,12 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
+
+
+# Full ``kelly`` outputs captured before the race markets read the exact
+# marginal layer; they pin the inverse-CDF row order, the message keys and
+# every float of the trajectory.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ``decompose --corpus and --format pretty --average``, captured before the
@@ -287,6 +294,21 @@ class TestKelly:
         result = invoke(runner, "kelly", "--corpus", "xor", "--wire", "s9")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("kelly_rdnerr_s2.json", ("--corpus", "rdnerr", "--wire", "s2",
+                                      "--races", "200", "--seed", "9")),
+            # The wire lists the predictors out of their declared order.
+            ("kelly_tbc_s2_s1.json", ("--corpus", "tbc", "--wire", "s2,s1",
+                                      "--races", "100", "--seed", "3")),
+        ],
+    )
+    def test_golden_output(self, runner, golden, args):
+        result = invoke(runner, "kelly", *args)
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / golden).read_text()
+
 
 class TestVerify:
     def test_passes_on_corpus(self, runner):
@@ -327,6 +349,39 @@ class TestBadTolerance:
         result = invoke(runner, command, "--corpus", "tbc", "--tol", tol)
         assert result.exit_code == 2
         assert "error: tolerance" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestBadInputFile:
+    # Malformed input is bad input on every command: exit 2, no traceback.
+    FILES = {
+        "total-beyond-float-range.tsv": "1e309\t0\t0\n",
+        "total-beyond-float-range.json": '{"mass": [{"outcome": ["0", "0"], "p": 1e400}]}',
+        "target-not-a-string.json": (
+            '{"schema": {"target": 5}, "mass": [{"outcome": ["0", "0"], "p": "1"}]}'
+        ),
+        "predictor-not-a-string.json": (
+            '{"schema": {"predictors": [1]}, "mass": [{"outcome": ["0", "0"], "p": "1"}]}'
+        ),
+        "components-not-a-list.json": (
+            '{"schema": {"target_components": "ab"},'
+            ' "mass": [{"outcome": ["0", "0,1"], "p": "1"}]}'
+        ),
+        "mass-is-a-boolean.json": '{"mass": [{"outcome": ["0", "0"], "p": true}]}',
+        "label-is-null.json": '{"mass": [{"outcome": [null, "0"], "p": "1"}]}',
+        "label-is-an-object.json": '{"mass": [{"outcome": ["0", {"a": 1}], "p": "1"}]}',
+        "empty-label.tsv": "1/2\t\t0\n1/2\t1\t1\n",
+    }
+
+    @pytest.mark.parametrize("command", ["decompose", "verify", "kelly"])
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_exits_two(self, runner, tmp_path, command, name):
+        path = tmp_path / name
+        path.write_text(self.FILES[name])
+        result = invoke(runner, command, "--input", str(path))
+        assert result.exit_code == 2
+        assert "error: " in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
@@ -382,6 +437,13 @@ class TestDecimalNormalisation:
         result = invoke(runner, "kelly", "--input", path, "--races", "50")
         assert result.exit_code == 0
         assert json.loads(result.output)["side_information_value"] > 0
+
+    def test_kelly_golden_output(self, runner, path):
+        result = invoke(
+            runner, "kelly", "--input", path, "--wire", "s2,s1", "--races", "40", "--seed", "5"
+        )
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / "kelly_decimal_s2_s1.json").read_text()
 
 
 class TestTinyMass:

@@ -1,5 +1,6 @@
 """Ingestion, validation, and transform behaviour of joint distributions."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,125 @@ class TestFromRows:
         assert JointDistribution(dist.schema, mass).probability({"t2": "0"}) == 1
         with pytest.raises(SchemaError):
             JointDistribution(dist.schema, {(("0",), ("0", "2")): Fraction(1)})
+
+
+class TestIngestChecks:
+    # Each row is checked once: by the distribution if it is kept, by
+    # ingest if it is dropped for zero mass.
+    def test_empty_label_rejected_in_tsv(self):
+        for text in ("1/2\t\t0\n1/2\t1\t1\n", "1/2\t0\t\n1/2\t1\t1\n",
+                     "1/2\t0\t0,\n1/2\t1\t1,1\n", "0\t\t0\n1\t1\t1\n"):
+            with pytest.raises(FormatError):
+                loads_tsv(text)
+
+    def test_empty_label_rejected_in_json(self):
+        for first, second in (('["", "0"]', '["1", "1"]'), ('["0", ""]', '["1", "1"]'),
+                              ('["0", ["0", ""]]', '["1", ["1", "1"]]')):
+            text = (
+                f'{{"mass": [{{"outcome": {first}, "p": "1/2"}},'
+                f' {{"outcome": {second}, "p": "1/2"}}]}}'
+            )
+            with pytest.raises(FormatError):
+                loads_json(text)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("1/2", ("0",), "0"), ("1/2", ("1", "0"), "1")],
+            [("1/2", ("0", "0"), "0"), ("1/2", ("1",), "1")],
+            [("1", ("0",), "0"), ("0", ("1", "0"), "1")],
+        ],
+    )
+    def test_wrong_arity_rejected(self, rows):
+        with pytest.raises(SchemaError):
+            JointDistribution.from_rows(rows, target="t")
+
+    def test_wrong_arity_rejected_in_json(self):
+        text = (
+            '{"mass": [{"outcome": ["0", "0", "1"], "p": "1/2"},'
+            ' {"outcome": ["1", "0"], "p": "1/2"}]}'
+        )
+        with pytest.raises(SchemaError):
+            loads_json(text)
+
+    def test_negative_merged_mass_rejected(self):
+        rows = [("1/4", ("0",), "0"), ("-1/2", ("0",), "0"), ("5/4", ("1",), "1")]
+        with pytest.warns(DuplicateRowWarning), pytest.raises(MassError):
+            JointDistribution.from_rows(rows, predictors=("s",), target="t")
+
+    def test_warning_texts_count_rows(self):
+        rows = [
+            ("1/4", ("a",), "0"),
+            ("0", ("a",), "0"),  # a zero row duplicating a kept row
+            ("1/4", ("a",), "0"),
+            ("1/4", ("b",), "1"),
+            ("1/4", ("b",), "1"),
+            ("1/7", ("c",), "0"),
+            ("-1/7", ("c",), "0"),  # cancels the row above
+            ("0", ("d",), "1"),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dist = JointDistribution.from_rows(rows, predictors=("s",), target="t")
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (DuplicateRowWarning, "summed 3 duplicate outcome row(s)"),
+            (ZeroMassRowWarning, "dropped 3 zero-probability row(s)"),
+        ]
+        assert dist.schema.predictor_alphabets == (("a", "b"),)
+        assert dist.probability({"s": "a"}) == Fraction(1, 2)
+
+    def test_predictor_label_checked_against_alphabet(self):
+        dist = JointDistribution.from_rows(
+            [("1/2", ("0",), "0"), ("1/2", ("1",), "1")], predictors=("s",), target="t"
+        )
+        with pytest.raises(SchemaError):
+            JointDistribution(dist.schema, {(("zz",), ("0",)): Fraction(1)})
+
+    @pytest.mark.parametrize("text", ["1e309\t0\t0\n", "0.5\t0\t0\n1e309\t1\t1\n"])
+    def test_decimal_total_beyond_float_range(self, text):
+        with pytest.raises(MassError):
+            loads_tsv(text)
+
+    def test_json_decimal_total_beyond_float_range(self):
+        with pytest.raises(MassError):
+            loads_json('{"mass": [{"outcome": ["0", "0"], "p": 1e400}]}')
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            '{"target": 5}',
+            '{"target": null}',
+            '{"predictors": [1]}',
+            '{"predictors": "s"}',
+            '{"target_components": "ab"}',
+        ],
+    )
+    def test_json_schema_types_checked(self, schema):
+        text = f'{{"schema": {schema}, "mass": [{{"outcome": ["0", "0,1"], "p": "1"}}]}}'
+        with pytest.raises(FormatError):
+            loads_json(text)
+
+    @pytest.mark.parametrize("p", ["true", "false", "null", "[1]"])
+    def test_json_mass_types_checked(self, p):
+        with pytest.raises(FormatError):
+            loads_json(f'{{"mass": [{{"outcome": ["0", "0"], "p": {p}}}]}}')
+
+    def test_boolean_mass_rejected_by_from_rows(self):
+        with pytest.raises(FormatError):
+            JointDistribution.from_rows([(True, ("0",), "0")], target="t")
+
+    @pytest.mark.parametrize("label", ["null", '{"a": 1}', "true", '["1"]'])
+    def test_json_label_types_checked(self, label):
+        outcomes = [f'[{label}, "0"]', f'["0", ["1", {label}]]']
+        if not label.startswith("["):  # a list there is a composite target event
+            outcomes.append(f'["0", {label}]')
+        for outcome in outcomes:
+            with pytest.raises(FormatError):
+                loads_json(f'{{"mass": [{{"outcome": {outcome}, "p": "1"}}]}}')
+
+    def test_json_numbers_stay_labels_and_masses(self):
+        dist = loads_json('{"mass": [{"outcome": [1, 2.5], "p": 1}]}')
+        assert dist.support[0].outcome == (("1",), ("2.5",))
 
 
 class TestProbabilityQueries:

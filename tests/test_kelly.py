@@ -18,7 +18,7 @@ from specamb.kelly import (
     simulate_races,
     value_of_side_information,
 )
-from specamb.measures import mutual_information
+from specamb.measures import log_of, mutual_information
 
 
 class TestMarketConstruction:
@@ -295,3 +295,33 @@ class TestAccumulator:
             for order in itertools.permutations(("t1", "t2", "t3"))
         }
         assert total == {2.0}
+
+    def test_legs_with_wire_out_of_predictor_order(self):
+        # Each leg is the conditional PMI p(s, t_k | t_<k) / (p(s | t_<k) p(t_k | t_<k)),
+        # with the message s read in wire order, not predictor order.
+        dist = build("tbep")
+        wire = ("s3", "s1")
+        market = RaceMarket(dist, wire=wire)
+        names = dist.schema.target_components
+        for row in dist.support:
+            msg = tuple(row.predictors[dist.schema.predictors.index(name)] for name in wire)
+            for order in itertools.permutations(names):
+                legs = accumulator_legs(market, msg, row.target, order)
+                given: dict = {}
+                expected = []
+                for name in order:
+                    before = dict(given)
+                    given[name] = row.target[names.index(name)]
+                    s = dict(zip(wire, msg))
+                    ratio = (dist.probability({**s, **given}) * dist.probability(before)) / (
+                        dist.probability({**s, **before}) * dist.probability(given)
+                    )
+                    expected.append(log_of(ratio, 2.0))
+                assert [float(leg) for leg in legs] == expected
+            s, t = dict(zip(wire, msg)), {"t": row.target}
+            ratio = dist.probability({**s, **t}) / (dist.probability(s) * dist.probability(t))
+            assert float(pointwise_return(market, msg, row.target)) == log_of(ratio, 2.0)
+        legs = accumulator_legs(market, ("1", "0"), ("0", "1", "1"), ("t3", "t1", "t2"))
+        assert [float(leg) for leg in legs] == [1.0, 1.0, 0.0]
+        with pytest.raises(MassError):
+            accumulator_legs(market, ("0", "1"), ("0", "1", "1"))
