@@ -13,6 +13,24 @@ not tautology.  The member-permutation and superset-irrelevance checks
 compare ``rmin_*`` on reordered and padded members with the engine
 table's ``r_plus``/``r_minus``; the conditional corollaries stay on
 ``rmin_*`` alone, as they test how ``given`` and ``components`` resolve.
+
+The checks that take a table read it by column
+(:meth:`AtomTable.column`, values indexed by node position) and never
+build its :class:`AtomRow` views.  The two that range over the whole
+lattice stay linear in it:
+
+* lattice monotonicity walks the nodes bottom first and carries each
+  node's strict down-set maximum up its lower covers
+  (:attr:`Lattice.cover_positions`), in place of testing every ordered
+  pair of nodes;
+* Moebius reconstruction sums, for each node, only the nonzero
+  increments whose closure (:attr:`Lattice.closures`) contains the
+  node's, in place of every member of the node's down-set.
+
+Each ``worst`` is bit for bit the value the pair loop and the full
+down-set sum give: subtracting a fixed float is monotone, so the
+largest difference is the largest value minus that float, and ``fsum``
+is correctly rounded, so exact zeros do not change it.
 """
 
 from __future__ import annotations
@@ -153,19 +171,21 @@ def _rmin_deviation(
     variants: Callable[[LatticeNode], Iterable[Sequence[SourceEvent]]],
     base: float,
 ) -> float:
-    """Worst gap between ``rmin_*`` on each of ``variants(node)`` and the node's row."""
+    """Worst gap between ``rmin_*`` on each of ``variants(node)`` and the node's values."""
     given = table.given_components
     towards = table.target_components
+    nodes = table.lattice.nodes
+    r_minus = table.column("r_minus")
     worst = 0.0
-    for realisation, rows in table.pointwise.items():
-        for node, row in rows.items():
+    for realisation, r_plus in table.column("r_plus").items():
+        for node, plus, minus in zip(nodes, r_plus, r_minus[realisation]):
             for members in variants(node):
                 worst = max(
                     worst,
                     abs(rmin_specificity(dist, members, realisation, given=given, base=base)
-                        - row.r_plus),
+                        - plus),
                     abs(rmin_ambiguity(dist, members, realisation, components=towards,
-                                       given=given, base=base) - row.r_minus),
+                                       given=given, base=base) - minus),
                 )
     return worst
 
@@ -227,23 +247,40 @@ def check_lattice_monotonicity(
     base: float = 2.0,
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
 ) -> CheckResult:
-    """Both node redundancies grow along the lattice order."""
+    """Both node redundancies grow along the lattice order.
+
+    ``worst`` is the largest ``r(alpha) - r(beta)`` over all pairs
+    ``alpha < beta``, for ``r_plus`` and ``r_minus`` at every realisation,
+    or 0.0 when none is positive.  It is found without visiting the pairs:
+    see :func:`_down_set_excess`.
+    """
     table = _table(dist, table, base, max_predictors)
-    lattice = table.lattice
+    covers = table.lattice.cover_positions
     worst = 0.0
-    for rows in table.pointwise.values():
-        for alpha in lattice.nodes:
-            for beta in lattice.nodes:
-                if alpha is beta or not lattice.leq(alpha, beta):
-                    continue
-                worst = max(
-                    worst,
-                    rows[alpha].r_plus - rows[beta].r_plus,
-                    rows[alpha].r_minus - rows[beta].r_minus,
-                )
-    worst = max(worst, 0.0)
+    for field in ("r_plus", "r_minus"):
+        for values in table.column(field).values():
+            worst = max(worst, _down_set_excess(values, covers))
     return _result("lattice-monotonicity", worst, tol,
                    "all ordered node pairs, all realisations")
+
+
+def _down_set_excess(values: Sequence[float], covers: Sequence[Sequence[int]]) -> float:
+    """Largest ``values[alpha] - values[beta]`` over ``alpha`` strictly below ``beta``, or 0.0.
+
+    Walks the nodes bottom first and keeps each node's strict down-set
+    maximum: the largest of its lower covers' own values and kept maxima.
+    The largest difference at ``beta`` is that maximum minus
+    ``values[beta]``, bit for bit (see the module docstring).
+    """
+    worst = 0.0
+    below: list[float] = []
+    for own, lower in zip(values, covers):
+        top = -math.inf
+        for k in lower:
+            top = max(top, values[k], below[k])
+        below.append(top)
+        worst = max(worst, top - own)
+    return worst
 
 
 def check_partial_nonnegativity(
@@ -257,9 +294,9 @@ def check_partial_nonnegativity(
     """Per-half increments are non-negative (the recombined ones may not be)."""
     table = _table(dist, table, base, max_predictors)
     low = 0.0
-    for rows in table.pointwise.values():
-        for row in rows.values():
-            low = min(low, row.pi_plus, row.pi_minus)
+    for field in ("pi_plus", "pi_minus"):
+        for values in table.column(field).values():
+            low = min(low, *values)
     return _result("partial-nonnegativity", max(0.0, -low), tol,
                    "pi+ and pi- at every node and realisation")
 
@@ -272,20 +309,26 @@ def check_mobius_reconstruction(
     base: float = 2.0,
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
 ) -> CheckResult:
-    """Summing increments over a down-set recovers the cumulative value."""
+    """Summing increments over a down-set recovers the cumulative value.
+
+    At each realisation and side, each node's ``r`` is compared with the
+    ``fsum`` of the increments of every node below or equal to it, found
+    with :meth:`Lattice.down_set`'s closure test.  Only the nonzero
+    increments are gathered: ``fsum`` is correctly rounded, so leaving
+    out exact zeros does not change it, and every nonzero increment
+    still counts wherever it lies, so the check does not lean on the
+    sweep putting them on one chain.
+    """
     table = _table(dist, table, base, max_predictors)
-    lattice = table.lattice
+    closures = table.lattice.closures
     worst = 0.0
-    for rows in table.pointwise.values():
-        for node in lattice.nodes:
-            down = lattice.down_set(node)
-            plus = math.fsum(rows[beta].pi_plus for beta in down)
-            minus = math.fsum(rows[beta].pi_minus for beta in down)
-            worst = max(
-                worst,
-                abs(plus - rows[node].r_plus),
-                abs(minus - rows[node].r_minus),
-            )
+    for increments, cumulative in (("pi_plus", "r_plus"), ("pi_minus", "r_minus")):
+        r_columns = table.column(cumulative)
+        for realisation, pi in table.column(increments).items():
+            nonzero = [(closures[k], v) for k, v in enumerate(pi) if v]
+            for closure, r in zip(closures, r_columns[realisation]):
+                rebuilt = math.fsum(v for mask, v in nonzero if closure & ~mask == 0)
+                worst = max(worst, abs(rebuilt - r))
     return _result("mobius-reconstruction", worst, tol,
                    "cumulative values rebuilt from increments")
 
@@ -301,8 +344,9 @@ def check_closed_form_agreement(
     """The cover-difference shortcut matches the engine's increments."""
     table = _table(dist, table, base, max_predictors)
     lattice = table.lattice
+    pi_minus = table.column("pi_minus")
     worst = 0.0
-    for realisation, rows in table.pointwise.items():
+    for realisation, pi_plus in table.column("pi_plus").items():
         h_plus = {
             event: rmin_specificity(dist, [event], realisation, base=base)
             for event in source_events(dist.n)
@@ -311,11 +355,11 @@ def check_closed_form_agreement(
             event: rmin_ambiguity(dist, [event], realisation, base=base)
             for event in source_events(dist.n)
         }
-        for node in lattice.nodes:
+        for node, plus, minus in zip(lattice.nodes, pi_plus, pi_minus[realisation]):
             worst = max(
                 worst,
-                abs(closed_form_partial(lattice, node, h_plus) - rows[node].pi_plus),
-                abs(closed_form_partial(lattice, node, h_minus) - rows[node].pi_minus),
+                abs(closed_form_partial(lattice, node, h_plus) - plus),
+                abs(closed_form_partial(lattice, node, h_minus) - minus),
             )
     return _result("closed-form-agreement", worst, tol,
                    "direct increment vs engine increment")
@@ -333,7 +377,7 @@ def check_pointwise_sums(
     table = _table(dist, table, base, max_predictors)
     full = SourceEvent.of(*range(1, dist.n + 1))
     worst = 0.0
-    for realisation in table.pointwise:
+    for realisation in table.realisations:
         plus, minus = table.pointwise_sums(realisation)
         worst = max(
             worst,
@@ -384,7 +428,7 @@ def check_bivariate_consistency(
     table = _table(dist, table, base, max_predictors)
     given = table.given_components
     worst = 0.0
-    for realisation, rows in table.pointwise.items():
+    for realisation in table.realisations:
         atoms = table.bivariate_atoms(realisation)
         for sign, pick in (("plus", lambda r: r.pi_plus), ("minus", lambda r: r.pi_minus)):
             fn = specificity if sign == "plus" else ambiguity

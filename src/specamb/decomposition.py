@@ -269,7 +269,8 @@ class AtomTable:
     ``average_columns`` holds the five lists of support averages.  The
     table keeps these lists without copying them.  The writers,
     :meth:`total` and :meth:`pointwise_sums` read the columns and label
-    nodes with :attr:`Lattice.names`.
+    nodes with :attr:`Lattice.names`; :meth:`column` hands one field's
+    lists to readers such as the checks.
 
     ``pointwise`` (``{realisation: {node: AtomRow}}``) and ``averages``
     (``{node: AtomRow}``) are read-only views of the same values, keyed
@@ -347,6 +348,18 @@ class AtomTable:
         """Sum of averaged recombined increments: the mutual information."""
         return InfoValue(math.fsum(self._average_columns[4]), self.base)
 
+    def column(self, field: str) -> Mapping[Realisation, list[float]]:
+        """``{realisation: values}`` of one :class:`AtomRow` field.
+
+        ``values[j]`` belongs to the node at position ``j`` of
+        :attr:`Lattice.nodes`.  The lists are the table's own; read them,
+        do not change them.
+        """
+        if field not in _FIELDS:
+            raise SchemaError(f"unknown field {field!r}; use one of {', '.join(_FIELDS)}")
+        k = _FIELDS.index(field)
+        return {realisation: columns[k] for realisation, columns in self._columns.items()}
+
     def pointwise_sums(self, realisation: Realisation) -> tuple[float, float]:
         """Lattice-wide sums (pi_plus, pi_minus) at one realisation."""
         columns = self._columns[realisation]
@@ -359,8 +372,12 @@ class AtomTable:
         """
         if self.dist.n != 2:
             raise SchemaError("named atoms R/U1/U2/C exist only for two predictors")
-        rows = self.averages if which == "average" else self.pointwise[which]
-        return {name: rows[node] for name, node in zip(BIVARIATE_ATOM_NAMES, BIVARIATE_ATOM_NODES)}
+        columns = self._average_columns if which == "average" else self._columns[which]
+        positions = map(self.lattice.nodes.index, BIVARIATE_ATOM_NODES)
+        return {
+            name: AtomRow(*(values[j] for values in columns))
+            for name, j in zip(BIVARIATE_ATOM_NAMES, positions)
+        }
 
     # ------------------------------------------------------------------
     # serialisation

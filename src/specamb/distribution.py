@@ -1101,36 +1101,37 @@ def load_distribution(
 
 def dumps_tsv(dist: JointDistribution) -> str:
     """Render a distribution in the TSV format with exact rational masses."""
-    schema = dist.schema
-    target_header = schema.target_label() if schema.target is not None else ""
-    names = list(schema.predictors) + ([target_header] if schema.target is not None else [])
-    lines = ["#p\t" + "\t".join(names)]
+    schema = _written_schema(dist)
+    lines = ["#p\t" + "\t".join([*schema.predictors, schema.target_label()])]
     for row in dist.support:
-        cells = [str(row.p), *row.predictors]
-        if schema.target is not None:
-            cells.append(",".join(row.target))
-        lines.append("\t".join(cells))
+        lines.append("\t".join([str(row.p), *row.predictors, ",".join(row.target)]))
     return "\n".join(lines) + "\n"
 
 
 def dumps_json(dist: JointDistribution) -> str:
     """Render a distribution in the JSON format with exact rational masses."""
-    schema = dist.schema
+    schema = _written_schema(dist)
+    composite = schema.target_components is not None
     payload: dict[str, object] = {
         "schema": {
             "predictors": list(schema.predictors),
             "target": schema.target,
         }
     }
-    if schema.target_components is not None:
+    if composite:
         payload["schema"]["target_components"] = list(schema.target_components)  # type: ignore[index]
     payload["mass"] = [
         {
-            "outcome": list(row.predictors)
-            + ([list(row.target) if schema.target_components is not None else row.target[0]]
-               if schema.target is not None else []),
+            "outcome": [*row.predictors, list(row.target) if composite else row.target[0]],
             "p": str(row.p),
         }
         for row in dist.support
     ]
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _written_schema(dist: JointDistribution) -> VariableSchema:
+    """``dist``'s schema, which must name a target: both formats read one back."""
+    if dist.schema.target is None:
+        raise SchemaError("a distribution without a target would not read back")
+    return dist.schema

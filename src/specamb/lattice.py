@@ -180,11 +180,15 @@ class Lattice:
     ``member_masks[j]`` lists node ``j``'s members as predictor bitmasks
     and ``node_at`` maps each closure (so each up-set of sources) to its
     node's position.  ``names[j]`` is ``str(nodes[j])``, rendered once
-    for the table writers that label rows with it.
+    for the table writers that label rows with it.  For the checks that
+    walk the whole lattice, ``closures[j]`` is node ``j``'s closure and
+    ``cover_positions[j]`` the positions of its lower covers, which all
+    come before ``j``.
     """
 
     __slots__ = (
-        "n", "nodes", "names", "member_masks", "node_at", "_umask", "_covers", "_down_cache"
+        "n", "nodes", "names", "member_masks", "node_at", "closures", "cover_positions",
+        "_umask", "_covers", "_down_cache",
     )
 
     def __init__(self, n: int, max_predictors: int = DEFAULT_MAX_PREDICTORS) -> None:
@@ -216,19 +220,25 @@ class Lattice:
         object.__setattr__(self, "_umask", umask)
         masks = tuple(tuple(_predictor_mask(a) for a in node.sources) for node in ordered)
         object.__setattr__(self, "member_masks", masks)
-        node_at = {umask[node]: j for j, node in enumerate(ordered)}
+        closures = tuple(umask[node] for node in ordered)
+        object.__setattr__(self, "closures", closures)
+        node_at = {closure: j for j, closure in enumerate(closures)}
         object.__setattr__(self, "node_at", MappingProxyType(node_at))
-        covers: dict[LatticeNode, tuple[LatticeNode, ...]] = {}
-        for node in ordered:
-            closure = umask[node]
-            below = []
-            for s in range(1, full + 1):
-                if (closure >> s) & 1:
-                    continue
-                if (sup[s] ^ (1 << s)) & ~closure:
-                    continue
-                below.append(ordered[node_at[closure | (1 << s)]])
-            covers[node] = tuple(sorted(below, key=_node_key))
+        # A node's lower covers all have one closure bit more than it, so
+        # they share a closure size and their positions follow _node_key.
+        cover_positions = tuple(
+            tuple(sorted(
+                node_at[closure | (1 << s)]
+                for s in range(1, full + 1)
+                if not (closure >> s) & 1 and not (sup[s] ^ (1 << s)) & ~closure
+            ))
+            for closure in closures
+        )
+        object.__setattr__(self, "cover_positions", cover_positions)
+        covers = {
+            node: tuple(ordered[k] for k in below)
+            for node, below in zip(ordered, cover_positions)
+        }
         object.__setattr__(self, "_covers", covers)
         object.__setattr__(self, "_down_cache", {})
 

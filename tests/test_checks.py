@@ -1,7 +1,10 @@
 """The self-check battery: every invariant holds on the corpus."""
 
+import random
+
 import pytest
 
+from conftest import random_rational_distribution
 from specamb.checks import (
     CheckResult,
     check_bivariate_consistency,
@@ -20,7 +23,7 @@ from specamb.checks import (
     run_all,
 )
 from specamb.corpus import CORPUS_NAMES, build
-from specamb.decomposition import decompose
+from specamb.decomposition import AtomTable, decompose
 from specamb.distribution import DistributionError, SchemaError
 
 # Every check that accepts a prebuilt table.
@@ -74,6 +77,27 @@ class TestRunAll:
         for result in run_all(build("unq")):
             assert result.name
             assert result.detail
+
+
+@pytest.mark.parametrize("entry", ["and", "composite-n3", "n4"])
+def test_run_all_builds_no_row_views(entry, monkeypatch):
+    # The table checks read the columns by node position; building the
+    # AtomRow views of a whole table is left to callers that want them.
+    if entry == "and":
+        dist = build("and")
+    else:
+        n = 3 if entry == "composite-n3" else 4
+        dist = random_rational_distribution(
+            random.Random(n), n, composite=n == 3, max_alphabet=2
+        )
+
+    def refuse(self, columns):
+        raise AssertionError("run_all built AtomRow views")
+
+    monkeypatch.setattr(AtomTable, "_rows", refuse)
+    results = run_all(dist)
+    assert all(result.ok for result in results)
+    assert ("bivariate-consistency" in [r.name for r in results]) == (dist.n == 2)
 
 
 class TestIndividualChecks:

@@ -401,6 +401,11 @@ class TestTsvFormat:
         assert again.schema.target_components == ("t1", "t2")
         assert again.mass == dist.mass
 
+    def test_target_free_distribution_is_not_written(self):
+        # Written as is, the last predictor would read back as the target.
+        with pytest.raises(SchemaError, match="without a target"):
+            dumps_tsv(xor().marginal(("s1", "s2")))
+
 
 class TestJsonFormat:
     def test_decimal_strings_stay_exact(self):
@@ -434,6 +439,11 @@ class TestJsonFormat:
         again = loads_json(dumps_json(dist))
         assert again.mass == dist.mass
         assert again.schema.target_components == ("t1", "t2")
+
+    def test_target_free_distribution_is_not_written(self):
+        # ``"target": null`` would not load back.
+        with pytest.raises(SchemaError, match="without a target"):
+            dumps_json(xor().marginal(("s1", "s2")))
 
 
 class TestLoadDistribution:

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_rational_distribution
-from specamb.checks import check_member_permutation, check_superset_irrelevance, run_all
+from specamb.checks import (
+    check_lattice_monotonicity,
+    check_member_permutation,
+    check_mobius_reconstruction,
+    check_superset_irrelevance,
+    run_all,
+)
 from specamb.corpus import CORPUS_NAMES, build
 from specamb.decomposition import (
     ZERO_CLAMP,
@@ -33,7 +39,7 @@ from specamb.decomposition import (
     target_chain_rule_report,
 )
 from specamb.distribution import JointDistribution, SourceEvent
-from specamb.lattice import closed_form_partial, lattice_for
+from specamb.lattice import closed_form_partial, lattice_for, node_leq
 from specamb.measures import (
     ambiguity,
     mutual_information,
@@ -702,3 +708,144 @@ def test_writers_match_json_dumps_and_per_value_csv(seed, n, arity, conditional,
     for which in ("both", "pointwise", "average"):
         assert table.to_json(which) == trimmed_json(table, which)
         assert table.to_csv(which) == per_value_csv(table, which)
+
+
+@lru_cache(maxsize=None)
+def strict_pairs(n):
+    """Every ``(alpha, beta)`` with ``alpha`` strictly below ``beta``, by ``node_leq``."""
+    nodes = lattice_for(n).nodes
+    return tuple(
+        (alpha, beta) for alpha in nodes for beta in nodes
+        if alpha != beta and node_leq(alpha, beta)
+    )
+
+
+def monotonicity_by_pairs(table):
+    """The lattice-monotonicity ``worst`` from a loop over all ordered node pairs."""
+    worst = 0.0
+    for rows in table.pointwise.values():
+        for alpha, beta in strict_pairs(table.dist.n):
+            worst = max(
+                worst,
+                rows[alpha].r_plus - rows[beta].r_plus,
+                rows[alpha].r_minus - rows[beta].r_minus,
+            )
+    return max(worst, 0.0)
+
+
+def full_down_sets(n):
+    down = {node: [node] for node in lattice_for(n).nodes}
+    for alpha, beta in strict_pairs(n):
+        down[beta].append(alpha)
+    return down
+
+
+def mobius_by_full_down_sets(table):
+    """The Moebius-reconstruction ``worst`` from an ``fsum`` over every down-set."""
+    down = full_down_sets(table.dist.n)
+    worst = 0.0
+    for rows in table.pointwise.values():
+        for node, below in down.items():
+            plus = math.fsum(rows[beta].pi_plus for beta in below)
+            minus = math.fsum(rows[beta].pi_minus for beta in below)
+            worst = max(worst, abs(plus - rows[node].r_plus), abs(minus - rows[node].r_minus))
+    return worst
+
+
+def assert_lattice_checks_match_references(dist, table, base=2.0):
+    for check, reference in (
+        (check_lattice_monotonicity, monotonicity_by_pairs),
+        (check_mobius_reconstruction, mobius_by_full_down_sets),
+    ):
+        result = check(dist, table, base=base)
+        expected = reference(table)
+        assert repr(result.worst) == repr(expected), check.__name__
+        assert result.ok == (expected <= TOL)
+
+
+# Increments of mixed sign and magnitude: 1e16 next to 1.0 makes a plain
+# left-to-right sum lose bits that ``fsum`` keeps.
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e16, -1e16, 1e-300)
+
+
+def random_value(rng):
+    return rng.choice(SPECIAL_VALUES) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0)
+
+
+def random_table(rng, dist, consistent):
+    """An ``AtomTable`` for ``dist`` (a scalar target) with random columns.
+
+    Most increments are exact zeros of either sign, as in the engine's
+    tables; the rest are any sign.  The ``r`` columns are random (so not
+    monotone), or, when ``consistent``, the ``fsum`` of each node's
+    down-set of increments, so that a reconstruction error shows as a
+    nonzero ``worst``.
+    """
+    lattice = lattice_for(dist.n)
+    nodes = lattice.nodes
+    down = full_down_sets(dist.n)
+    columns = {}
+    for realisation in dist.support:
+        sides = []
+        for _ in ("plus", "minus"):
+            pi = [
+                random_value(rng) if rng.random() < 0.3 else rng.choice((0.0, -0.0))
+                for _ in nodes
+            ]
+            if consistent:
+                at = dict(zip(nodes, pi))
+                r = [math.fsum(at[beta] for beta in down[node]) for node in nodes]
+            else:
+                r = [random_value(rng) for _ in nodes]
+            sides.append((r, pi))
+        (r_plus, pi_plus), (r_minus, pi_minus) = sides
+        pi = [a - b for a, b in zip(pi_plus, pi_minus)]
+        columns[realisation] = (r_plus, r_minus, pi_plus, pi_minus, pi)
+    averages = tuple([random_value(rng) for _ in nodes] for _ in range(5))
+    return AtomTable(dist, lattice, (dist.schema.target,), (), 2.0, columns, averages)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3, 4]),
+    consistent=st.booleans(),
+)
+def test_lattice_checks_match_pair_loop_and_full_down_sets(seed, n, consistent):
+    # The checks walk lower covers and sum only nonzero increments; the
+    # references visit every ordered pair and every down-set member.
+    rng = random.Random(seed)
+    dist = random_multi_target_distribution(rng, n, 1)
+    assert_lattice_checks_match_references(dist, random_table(rng, dist, consistent))
+
+
+@light
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3, 4]),
+    arity=st.sampled_from([1, 2]),
+    base=st.sampled_from([2.0, 10.0]),
+)
+def test_lattice_checks_match_references_on_decimal_tables(seed, n, arity, base):
+    # Engine tables, in decimal mode, which clamps no increment.  The fsum of
+    # a node's increments can miss its value by rounding, so the
+    # reconstruction worst is often not 0 here.
+    dist = random_multi_target_distribution(random.Random(seed), n, arity, decimal=True)
+    assert_lattice_checks_match_references(dist, decompose(dist, base=base), base)
+
+
+def test_decimal_tables_have_nonzero_reconstruction_residuals():
+    # Keeps the decimal group above from comparing zeros only.
+    worsts = []
+    for seed in range(10):
+        dist = random_multi_target_distribution(random.Random(seed), 3, 2, decimal=True)
+        table = decompose(dist)
+        worst = check_mobius_reconstruction(dist, table).worst
+        assert repr(worst) == repr(mobius_by_full_down_sets(table))
+        worsts.append(worst)
+    assert any(worsts)
