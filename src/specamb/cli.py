@@ -150,28 +150,25 @@ def lattice_cmd(n, fmt, lattice_cap, out) -> None:
         lattice = lattice_for(n, lattice_cap)
     except (DistributionError, ValueError) as exc:
         _fail(str(exc))
-    covers = {
-        str(node): sorted(str(c) for c in lattice.lower_covers(node))
-        for node in lattice.nodes
-    }
+    names = lattice.names
+    covers = [sorted(names[k] for k in below) for below in lattice.cover_positions]
     if fmt == "json":
         _emit(_json_dumps({
             "n": n,
-            "count": len(lattice.nodes),
-            "nodes": [str(node) for node in lattice.nodes],
-            "lower_covers": covers,
+            "count": len(names),
+            "nodes": list(names),
+            "lower_covers": dict(zip(names, covers)),
         }), out)
     elif fmt == "csv":
         lines = ["node,lower_covers"]
-        for node in lattice.nodes:
-            joined = ";".join(covers[str(node)])
-            lines.append(f'{str(node)},"{joined}"' if joined else f"{str(node)},")
+        for name, below in zip(names, covers):
+            joined = ";".join(below)
+            lines.append(f'{name},"{joined}"' if joined else f"{name},")
         _emit("\n".join(lines), out)
     else:
-        lines = [f"{len(lattice.nodes)} nodes for n={n} (bottom first)"]
-        for node in lattice.nodes:
-            below = ", ".join(covers[str(node)])
-            lines.append(f"  {str(node)}" + (f"  <-  {below}" if below else ""))
+        lines = [f"{len(names)} nodes for n={n} (bottom first)"]
+        for name, below in zip(names, covers):
+            lines.append(f"  {name}" + (f"  <-  {', '.join(below)}" if below else ""))
         _emit("\n".join(lines), out)
 
 

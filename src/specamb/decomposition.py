@@ -373,7 +373,7 @@ class AtomTable:
         if self.dist.n != 2:
             raise SchemaError("named atoms R/U1/U2/C exist only for two predictors")
         columns = self._average_columns if which == "average" else self._columns[which]
-        positions = map(self.lattice.nodes.index, BIVARIATE_ATOM_NODES)
+        positions = map(self.lattice.position, BIVARIATE_ATOM_NODES)
         return {
             name: AtomRow(*(values[j] for values in columns))
             for name, j in zip(BIVARIATE_ATOM_NAMES, positions)

@@ -742,17 +742,11 @@ class JointDistribution:
             raise MassError(f"target event {kept!r} has zero probability")
         label = ",".join(kept)
         other = f"~{label}"
-        raw: list[RawRow] = []
+        mass: dict[tuple[tuple[Label, ...], TargetEvent], Fraction] = {}
         for row in self._support:
-            raw.append((row.p, row.predictors, (label if row.target == kept else other,)))
-        return _assemble(
-            raw,
-            predictors=self.schema.predictors,
-            target=self.schema.target,
-            target_components=None,
-            mode=self.mode,
-            merged_ok=True,
-        )
+            key = (row.predictors, (label if row.target == kept else other,))
+            mass[key] = mass.get(key, 0) + row.p
+        return _build(mass, self.schema.predictors, self.schema.target, None, self.mode)
 
     def compose_targets(self, components: Sequence[str]) -> "JointDistribution":
         """Restrict and reorder the composite target to the named components."""
@@ -839,15 +833,12 @@ def _assemble(
     target: Union[str, None],
     target_components: Union[tuple[str, ...], None],
     mode: Mode,
-    merged_ok: bool = False,
 ) -> JointDistribution:
     """Merge duplicate rows, drop zero rows, and build the distribution.
 
     The distribution checks every row it is given.  A row dropped here,
     for zero mass or because duplicates cancelled, never reaches it, so
-    its arity and labels are checked here.  ``merged_ok`` silences the
-    duplicate warning for internal transforms, where merging is the
-    expected effect.
+    its arity and labels are checked here.
     """
     if not rows:
         raise MassError("no rows given")
@@ -882,11 +873,11 @@ def _assemble(
             )
         if "" in preds or "" in event:
             raise FormatError(f"empty event label in row {(preds, event)!r}")
-    if duplicates and not merged_ok:
+    if duplicates:
         warnings.warn(
             f"summed {duplicates} duplicate outcome row(s)", DuplicateRowWarning, stacklevel=3
         )
-    if dropped and not merged_ok:
+    if dropped:
         warnings.warn(
             f"dropped {len(dropped)} zero-probability row(s)", ZeroMassRowWarning, stacklevel=3
         )

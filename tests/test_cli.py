@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, determinism, exit codes, file output."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -218,6 +219,33 @@ class TestLattice:
         ok = invoke(runner, "lattice", "5", "--lattice-cap", "5")
         assert ok.exit_code == 0
         assert ok.output.startswith("7579 nodes")
+
+    def test_matches_golden_hashes(self, runner):
+        # SHA-256 of ``specamb lattice N --format F --lattice-cap 5`` for
+        # N = 1..5 in every format, captured from the set-keyed lattice
+        # build that preceded the integer build; CI checks the installed
+        # script against the same file with ``sha256sum -c``.
+        lines = (GOLDEN / "lattice.sha256").read_text().splitlines()
+        assert len(lines) == 15
+        for line in lines:
+            digest, filename = line.split()
+            n, fmt = filename.removeprefix("lattice-").split(".")
+            result = invoke(runner, "lattice", n, "--format", fmt, "--lattice-cap", "5")
+            assert result.exit_code == 0
+            assert hashlib.sha256(result.output.encode()).hexdigest() == digest, filename
+
+    def test_ceiling_holds_whatever_the_cap(self, runner):
+        result = invoke(runner, "lattice", "6", "--lattice-cap", "6")
+        assert result.exit_code == 2
+        assert "7,828,352 nodes" in result.output
+
+    def test_six_predictor_decompose_is_refused(self, runner, tmp_path):
+        path = tmp_path / "six.tsv"
+        header = "#p\t" + "\t".join(f"s{i}" for i in range(1, 7)) + "\tt\n"
+        path.write_text(header + "1/2\t0\t0\t0\t0\t0\t0\t0\n1/2\t1\t1\t1\t1\t1\t1\t1\n")
+        result = invoke(runner, "decompose", "--input", str(path), "--lattice-cap", "6")
+        assert result.exit_code == 2
+        assert "7,828,352 nodes" in result.output
 
 
 class TestChainRule:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from specamb.corpus import CORPUS_NAMES, build
 from specamb.distribution import (
     DuplicateRowWarning,
     FormatError,
@@ -324,6 +325,45 @@ class TestTransforms:
         coarse = xor().coarsen_target_to_two_events(("0",))
         assert coarse.probability({"t": "0"}) == Fraction(1, 2)
         assert coarse.probability({"t": "~0"}) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES + ("composite",))
+    def test_coarsen_matches_merging_the_relabelled_rows(self, name):
+        """Coarsening equals merging its relabelled support rows, silently.
+
+        The reference goes through ``from_rows``, which merges the rows
+        that the relabelling makes duplicates (and warns about them); the
+        coarsening itself sums them and must warn about nothing.
+        """
+        if name == "composite":
+            rows = [
+                ("1/8", ("0", "0"), ("0", "0")), ("1/8", ("0", "0"), ("1", "1")),
+                ("1/4", ("0", "1"), ("0", "1")), ("1/8", ("1", "0"), ("1", "0")),
+                ("1/8", ("1", "0"), ("0", "0")), ("1/4", ("1", "1"), ("1", "1")),
+            ]
+            dist = JointDistribution.from_rows(
+                rows, predictors=("a", "b"), target="t", target_components=("t1", "t2")
+            )
+        else:
+            dist = build(name)
+        for event in dict.fromkeys(row.target for row in dist.support):
+            label = ",".join(event)
+            relabelled = [
+                (row.p, row.predictors, label if row.target == event else f"~{label}")
+                for row in dist.support
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = JointDistribution.from_rows(
+                    relabelled, predictors=dist.schema.predictors,
+                    target=dist.schema.target, mode=dist.mode,
+                )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                coarse = dist.coarsen_target_to_two_events(event)
+            assert coarse == expected
+            assert coarse.schema.target_alphabet == expected.schema.target_alphabet
+            assert coarse.schema.predictor_alphabets == expected.schema.predictor_alphabets
+            assert list(coarse.mass) == list(expected.mass)
 
     def test_compose_targets_reorders_components(self):
         rows = [("1/2", ("0",), ("0", "1")), ("1/2", ("1",), ("1", "0"))]

@@ -6,8 +6,10 @@ from itertools import combinations
 
 import pytest
 
+import specamb.lattice
 from specamb.distribution import SchemaError, SourceEvent
 from specamb.lattice import (
+    MAX_DENSE_PREDICTORS,
     Lattice,
     LatticeNode,
     closed_form_partial,
@@ -60,6 +62,72 @@ class TestEnumeration:
 
     def test_cap_override(self):
         assert len(enumerate_nodes(5, max_predictors=5)) == 7579
+
+    @pytest.mark.parametrize(
+        "build", [enumerate_nodes, Lattice, lattice_for], ids=lambda f: f.__name__
+    )
+    def test_ceiling_holds_whatever_the_cap(self, build):
+        # Raised before any enumeration: n = 6 would start 7,828,352 nodes.
+        assert MAX_DENSE_PREDICTORS == 5
+        for n, cap in ((6, 6), (7, 100)):
+            with pytest.raises(SchemaError, match="7,828,352 nodes"):
+                build(n, cap)
+
+
+def lattice_order_key(n: int):
+    """The lattice's sort key, with each up-set size counted by brute force.
+
+    Bottom first: a larger up-set of sources (the events that contain a
+    member) comes first, then fewer members, then members in size-then-
+    lexicographic order.
+    """
+    events = [frozenset(e.indices) for e in specamb.lattice.source_events(n)]
+
+    def key(node: LatticeNode):
+        members = [frozenset(a.indices) for a in node.sources]
+        up = sum(1 for e in events if any(m <= e for m in members))
+        return (-up, len(members), [(len(a.indices), a.indices) for a in node.sources])
+
+    return key
+
+
+class TestIntegerBuild:
+    """The integer build against the set-based oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_nodes_are_the_oracle_in_lattice_order(self, n):
+        lattice = Lattice(n, 5)
+        expected = tuple(sorted(enumerate_nodes(n, 5), key=lattice_order_key(n)))
+        assert lattice.nodes == expected
+        assert lattice.names == tuple(map(str, expected))
+        assert lattice.member_masks == tuple(
+            tuple(sum(1 << (i - 1) for i in a.indices) for a in node.sources)
+            for node in expected
+        )
+        assert all(lattice.position(node) == j for j, node in enumerate(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_covers_are_the_maximal_strictly_lower_nodes(self, n):
+        lattice = Lattice(n)
+        nodes = lattice.nodes
+        below = [
+            {k for k, beta in enumerate(nodes) if k != j and node_leq(beta, alpha)}
+            for j, alpha in enumerate(nodes)
+        ]
+        for j, lower in enumerate(below):
+            maximal = {k for k in lower if not any(k in below[i] for i in lower)}
+            assert lattice.cover_positions[j] == tuple(sorted(maximal))
+
+    def test_build_does_not_use_the_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice build called enumerate_nodes")
+
+        monkeypatch.setattr(specamb.lattice, "enumerate_nodes", refuse)
+        assert len(Lattice(4).nodes) == 166
+
+    def test_position_rejects_a_foreign_node(self):
+        with pytest.raises(SchemaError):
+            lattice_for(2).position(LatticeNode.of((1, 3)))
 
 
 class TestLatticeNode:
@@ -222,6 +290,11 @@ class TestInversion:
 class TestLatticeFor:
     def test_same_object_is_cached(self):
         assert lattice_for(3) is lattice_for(3)
+
+    def test_cap_guards_the_call_not_the_cache(self):
+        assert lattice_for(4, 4) is lattice_for(4, 5)
+        with pytest.raises(SchemaError):
+            lattice_for(5)
 
     def test_fresh_instance_shares_structure(self):
         assert lattice_for(2).nodes == Lattice(2).nodes
