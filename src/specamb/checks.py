@@ -10,9 +10,29 @@ The checks deliberately recompute their reference values through routes
 different from the decomposition engine (probability ratios, library
 entropy sums, the closed-form increment), so agreement is evidence and
 not tautology.  The member-permutation and superset-irrelevance checks
-compare ``rmin_*`` on reordered and padded members with the engine
-table's ``r_plus``/``r_minus``; the conditional corollaries stay on
-``rmin_*`` alone, as they test how ``given`` and ``components`` resolve.
+compare the values of reordered and padded members with the engine
+table's ``r_plus``/``r_minus``; the conditional corollaries compare
+values across conditioning sets and target components.
+
+Those three checks and closed-form agreement value member lists as
+``rmin_*`` do, without calling them once per node.  For each
+realisation and conditioning set they look up every source event's
+exact conditional probability once, as a fraction from
+:meth:`JointDistribution.conditional_masses` (the table ``rmin_*``
+read), with its surprisal from :func:`log_of`.  A member list's value
+is the surprisal of its most probable member; the members are visited
+in the list's own order and compared as fractions.  Equal fractions
+have equal logarithms, so each value, and so each ``worst``, is bit for
+bit the one ``rmin_*`` give.  Closed-form agreement takes each node's
+smallest member surprisal over :attr:`Lattice.member_masks` and
+subtracts the largest such value over :attr:`Lattice.cover_positions`:
+the formula of :func:`closed_form_partial`, by node position.  Each
+check resolves its ``given`` and ``components`` once, through the
+functions ``rmin_*`` use, so the corollaries still test how the two
+arguments resolve.  None of this reads the engine's ranks
+(:meth:`JointDistribution.ranked_conditionals`) or its sweep.
+Self-redundancy still calls ``rmin_*``, so their argument handling
+stays exercised.
 
 The checks that take a table read it by column
 (:meth:`AtomTable.column`, values indexed by node position) and never
@@ -44,23 +64,26 @@ from typing import Optional
 
 from specamb.decomposition import (
     AtomTable,
+    _component_slots,
+    _resolve_components,
     coarsening_invariance_report,
     decompose,
     rmin_ambiguity,
     rmin_specificity,
     target_chain_rule_report,
 )
-from specamb.distribution import DistributionError, JointDistribution, SchemaError, SourceEvent
-from specamb.lattice import (
-    DEFAULT_MAX_PREDICTORS,
-    LatticeNode,
-    closed_form_partial,
-    lattice_for,
-    source_events,
+from specamb.distribution import (
+    DistributionError,
+    JointDistribution,
+    Realisation,
+    SchemaError,
+    SourceEvent,
 )
+from specamb.lattice import DEFAULT_MAX_PREDICTORS, lattice_for, source_events
 from specamb.measures import (
     ambiguity,
     average,
+    log_of,
     pointwise_mutual_information,
     specificity,
 )
@@ -165,27 +188,80 @@ def check_recombination_identity(
                    f"{len(dist.support)} realisations, all source events")
 
 
+def _slots(
+    dist: JointDistribution, components: Sequence[str], given: Sequence[str]
+) -> tuple[int, ...]:
+    """The conditioning slots of ``rmin_ambiguity(components=components, given=given)``.
+
+    ``components=()`` gives those of ``rmin_specificity(given=given)``.
+    Both name lists resolve through the functions ``rmin_*`` use, one
+    after the other.
+    """
+    return _component_slots(
+        dist, _resolve_components(dist, components) + _resolve_components(dist, given)
+    )
+
+
+def _member_values(
+    dist: JointDistribution, realisation: Realisation, slots: tuple[int, ...], base: float
+) -> tuple[dict[int, Fraction], dict[int, float]]:
+    """Each source event's exact conditional probability at ``realisation``, and its surprisal.
+
+    Both maps are keyed by predictor bitmask.  Each probability is one
+    lookup in :meth:`JointDistribution.conditional_masses`, given the
+    realised labels at ``slots``: the table ``rmin_*`` read.
+    """
+    given = tuple(realisation.target[k] for k in slots)
+    p = {
+        m: dist.conditional_masses(event.indices, slots)[realisation.source_labels(event) + given]
+        for m, event in enumerate(source_events(dist.n), 1)
+    }
+    return p, {m: -log_of(x, base) for m, x in p.items()}
+
+
+def _node_value(
+    dist: JointDistribution, realisation: Realisation, slots: tuple[int, ...], base: float
+) -> Callable[[Sequence[int]], float]:
+    """The ``rmin_*`` value of a member list (bitmasks) at ``realisation``, given ``slots``.
+
+    The value is the surprisal of the most probable member: the members
+    are visited in the list's own order and compared as fractions.
+    """
+    p, h = _member_values(dist, realisation, slots, base)
+
+    def value(members: Sequence[int]) -> float:
+        return h[max(members, key=p.__getitem__)]
+
+    return value
+
+
 def _rmin_deviation(
     dist: JointDistribution,
     table: AtomTable,
-    variants: Callable[[LatticeNode], Iterable[Sequence[SourceEvent]]],
+    variants: Callable[[tuple[int, ...]], Iterable[Sequence[int]]],
     base: float,
 ) -> float:
-    """Worst gap between ``rmin_*`` on each of ``variants(node)`` and the node's values."""
+    """Worst gap between the value of each of ``variants(members)`` and the node's values.
+
+    ``members`` are a node's member bitmasks (:attr:`Lattice.member_masks`);
+    each variant is valued as ``rmin_*`` would value it, in the table's
+    conditioning.
+    """
     given = table.given_components
-    towards = table.target_components
-    nodes = table.lattice.nodes
+    plus_slots = _slots(dist, (), given)
+    minus_slots = _slots(dist, table.target_components, given)
+    member_masks = table.lattice.member_masks
     r_minus = table.column("r_minus")
     worst = 0.0
     for realisation, r_plus in table.column("r_plus").items():
-        for node, plus, minus in zip(nodes, r_plus, r_minus[realisation]):
-            for members in variants(node):
+        plus_value = _node_value(dist, realisation, plus_slots, base)
+        minus_value = _node_value(dist, realisation, minus_slots, base)
+        for masks, plus, minus in zip(member_masks, r_plus, r_minus[realisation]):
+            for members in variants(masks):
                 worst = max(
                     worst,
-                    abs(rmin_specificity(dist, members, realisation, given=given, base=base)
-                        - plus),
-                    abs(rmin_ambiguity(dist, members, realisation, components=towards,
-                                       given=given, base=base) - minus),
+                    abs(plus_value(members) - plus),
+                    abs(minus_value(members) - minus),
                 )
     return worst
 
@@ -201,7 +277,7 @@ def check_member_permutation(
     """Node redundancies ignore the order in which members are listed."""
     table = _table(dist, table, base, max_predictors)
     worst = _rmin_deviation(
-        dist, table, lambda node: (node.sources[::-1], node.sources[1:] + node.sources[:1]), base
+        dist, table, lambda members: (members[::-1], members[1:] + members[:1]), base
     )
     return _result("member-permutation", worst, tol, "reversed and rotated members")
 
@@ -216,8 +292,8 @@ def check_superset_irrelevance(
 ) -> CheckResult:
     """Adding a superset of an existing member never moves the minimum."""
     table = _table(dist, table, base, max_predictors)
-    full = SourceEvent.of(*range(1, dist.n + 1))
-    worst = _rmin_deviation(dist, table, lambda node: (node.sources + (full,),), base)
+    full = (1 << dist.n) - 1
+    worst = _rmin_deviation(dist, table, lambda members: (members + (full,),), base)
     return _result("superset-irrelevance", worst, tol,
                    "every node padded with the full predictor event")
 
@@ -341,26 +417,30 @@ def check_closed_form_agreement(
     base: float = 2.0,
     max_predictors: int = DEFAULT_MAX_PREDICTORS,
 ) -> CheckResult:
-    """The cover-difference shortcut matches the engine's increments."""
+    """The cover-difference shortcut matches the engine's increments.
+
+    At each realisation and side, in the table's conditioning, each
+    node's value is the smallest member surprisal over
+    :attr:`Lattice.member_masks`; its increment is that value minus the
+    largest value over its lower covers (:attr:`Lattice.cover_positions`),
+    or the value itself at the bottom.  This is
+    :func:`closed_form_partial`'s formula by node position: it reads no
+    ranks and no sweep.
+    """
     table = _table(dist, table, base, max_predictors)
     lattice = table.lattice
-    pi_minus = table.column("pi_minus")
+    given = table.given_components
     worst = 0.0
-    for realisation, pi_plus in table.column("pi_plus").items():
-        h_plus = {
-            event: rmin_specificity(dist, [event], realisation, base=base)
-            for event in source_events(dist.n)
-        }
-        h_minus = {
-            event: rmin_ambiguity(dist, [event], realisation, base=base)
-            for event in source_events(dist.n)
-        }
-        for node, plus, minus in zip(lattice.nodes, pi_plus, pi_minus[realisation]):
-            worst = max(
-                worst,
-                abs(closed_form_partial(lattice, node, h_plus) - plus),
-                abs(closed_form_partial(lattice, node, h_minus) - minus),
-            )
+    for field, slots in (
+        ("pi_plus", _slots(dist, (), given)),
+        ("pi_minus", _slots(dist, table.target_components, given)),
+    ):
+        for realisation, increments in table.column(field).items():
+            h = _member_values(dist, realisation, slots, base)[1]
+            r = [min(h[m] for m in members) for members in lattice.member_masks]
+            for own, lower, increment in zip(r, lattice.cover_positions, increments):
+                closed = own - max(r[k] for k in lower) if lower else own
+                worst = max(worst, abs(closed - increment))
     return _result("closed-form-agreement", worst, tol,
                    "direct increment vs engine increment")
 
@@ -501,35 +581,43 @@ def check_conditional_corollaries(
     names = dist.schema.target_components
     if names is None or len(names) < 2:
         raise SchemaError("conditional corollaries need at least two target components")
-    lattice = lattice_for(dist.n, max_predictors)
+    member_masks = lattice_for(dist.n, max_predictors).member_masks
     reduced = {name: dist.compose_targets((name,)) for name in names}
-    slots = {name: dist.schema.component_index(name) for name in names}
+    positions = {name: dist.schema.component_index(name) for name in names}
+    plain = _slots(dist, (), ())
+    reduced_plain = {name: _slots(sub, (), ()) for name, sub in reduced.items()}
+    # Per ordered pair (a, b): conditional specificity given b against
+    # ambiguity towards b, and ambiguity towards a given b against
+    # ambiguity towards (a, b).
+    pairs = [
+        side
+        for a, b in permutations(names, 2)
+        for side in (
+            (_slots(dist, (), (b,)), _slots(dist, (b,), ())),
+            (_slots(dist, (a,), (b,)), _slots(dist, (a, b), ())),
+        )
+    ]
+    needed = {plain, *(slots for pair in pairs for slots in pair)}
     worst = 0.0
     for realisation in dist.support:
-        for node in lattice.nodes:
-            plain_plus = rmin_specificity(dist, node, realisation, base=base)
-            for name, sub in reduced.items():
-                sub_real = sub.realisation(
-                    realisation.predictors, (realisation.target[slots[name]],)
-                )
-                worst = max(worst, abs(
-                    rmin_specificity(sub, node, sub_real, base=base) - plain_plus))
-            for a, b in permutations(names, 2):
-                cond_plus = rmin_specificity(dist, node, realisation, given=(b,), base=base)
-                amb_b = rmin_ambiguity(dist, node, realisation, components=(b,), base=base)
-                cond_minus = rmin_ambiguity(
-                    dist, node, realisation, components=(a,), given=(b,), base=base
-                )
-                pair_minus = rmin_ambiguity(
-                    dist, node, realisation, components=(a, b), base=base
-                )
-                worst = max(
-                    worst,
-                    abs(cond_plus - amb_b),
-                    abs(cond_minus - pair_minus),
-                )
+        columns = {
+            slots: list(map(_node_value(dist, realisation, slots, base), member_masks))
+            for slots in needed
+        }
+        for name, sub in reduced.items():
+            sub_real = sub.realisation(
+                realisation.predictors, (realisation.target[positions[name]],)
+            )
+            sub_plus = map(_node_value(sub, sub_real, reduced_plain[name], base), member_masks)
+            worst = max(worst, _largest_gap(sub_plus, columns[plain]))
+        for left, right in pairs:
+            worst = max(worst, _largest_gap(columns[left], columns[right]))
     return _result("conditional-corollaries", worst, tol,
                    "all ordered component pairs, all nodes")
+
+
+def _largest_gap(xs: Iterable[float], ys: Iterable[float]) -> float:
+    return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
 
 
 def run_all(

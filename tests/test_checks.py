@@ -1,9 +1,11 @@
 """The self-check battery: every invariant holds on the corpus."""
 
 import random
+from itertools import count
 
 import pytest
 
+import specamb.checks
 from conftest import random_rational_distribution
 from specamb.checks import (
     CheckResult,
@@ -148,11 +150,65 @@ class TestGivenTable:
     def test_table_of_an_equal_distribution_passes(self, check):
         assert check(build("and"), decompose(build("and"))).ok
 
+    @pytest.mark.parametrize("held", ["t1", "t3"])
+    def test_conditional_table_passes(self, check, held):
+        # Each check reads the values in the table's own conditioning.
+        dist = build("tbc")
+        assert check(dist, decompose(dist, given=(held,))).ok
+
 
 @pytest.mark.parametrize("check", [check_target_chain_rule, check_conditional_corollaries])
 def test_chain_checks_reject_a_scalar_target(check):
     with pytest.raises(SchemaError):
         check(build("and"))
+
+
+def test_closed_form_reads_the_table_conditioning():
+    # Two predictors, composite target (t1, t2), decomposed given t1.
+    dist = random_rational_distribution(random.Random(0), 2, composite=True)
+    assert check_closed_form_agreement(dist, decompose(dist, given=("t1",))).ok
+
+
+def test_corollaries_fail_when_given_does_not_resolve(monkeypatch):
+    # Each conditioning resolves its components and then its given
+    # components, as rmin_ambiguity does; the mutant drops the second.
+    resolve = specamb.checks._resolve_components
+    calls = count()
+
+    def drop_given(dist, names):
+        return resolve(dist, names) if next(calls) % 2 == 0 else ()
+
+    dist = build("tbc")
+    assert check_conditional_corollaries(dist).ok
+    monkeypatch.setattr(specamb.checks, "_resolve_components", drop_given)
+    result = check_conditional_corollaries(dist)
+    assert not result.ok
+    assert result.worst > 0.5
+
+
+@pytest.mark.parametrize("check", [check_member_permutation, check_superset_irrelevance])
+def test_rmin_checks_report_a_perturbed_node_value(check, monkeypatch):
+    # One r_plus entry (the bottom node at the last realisation) moves;
+    # the check's worst is exactly that move.
+    dist = build("tbc")
+    table = decompose(dist)
+    realisation = dist.support[-1]
+    original = table.column("r_plus")[realisation][0]
+    moved = original + 0.375
+    column = AtomTable.column
+
+    def perturbed(self, field):
+        values = column(self, field)
+        if field != "r_plus":
+            return values
+        values = dict(values)
+        values[realisation] = [moved, *values[realisation][1:]]
+        return values
+
+    monkeypatch.setattr(AtomTable, "column", perturbed)
+    result = check(dist, table)
+    assert not result.ok
+    assert result.worst == abs(original - moved) > 0.3
 
 
 class TestCheckResult:

@@ -13,13 +13,15 @@ import random
 from dataclasses import astuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_rational_distribution
 from specamb.checks import (
+    check_closed_form_agreement,
+    check_conditional_corollaries,
     check_lattice_monotonicity,
     check_member_permutation,
     check_mobius_reconstruction,
@@ -418,48 +420,122 @@ def random_multi_target_distribution(rng, n, arity, decimal=False):
     )
 
 
-def per_node_chain_residuals(dist, order):
+def per_node_chain_residuals(dist, order, base=2.0):
     residuals = {}
     for realisation in dist.support:
         for node in lattice_for(dist.n).nodes:
-            joint = node_redundancy(dist, node, realisation, components=order)
+            joint = node_redundancy(dist, node, realisation, components=order, base=base)
             parts = [
-                node_redundancy(dist, node, realisation, components=(name,), given=order[:k])
+                node_redundancy(
+                    dist, node, realisation, components=(name,), given=order[:k], base=base
+                )
                 for k, name in enumerate(order)
             ]
             residuals[(realisation, node)] = joint - math.fsum(parts)
     return residuals
 
 
-def per_node_coarsening_residuals(dist):
+def per_node_coarsening_residuals(dist, base=2.0):
     residuals = {}
     for realisation in dist.support:
         coarse = dist.coarsen_target_to_two_events(realisation.target)
         coarse_real = coarse.realisation(realisation.predictors, ",".join(realisation.target))
         for node in lattice_for(dist.n).nodes:
-            d_plus = rmin_specificity(dist, node, realisation) - rmin_specificity(
-                coarse, node, coarse_real
+            d_plus = rmin_specificity(dist, node, realisation, base=base) - rmin_specificity(
+                coarse, node, coarse_real, base=base
             )
-            d_minus = rmin_ambiguity(dist, node, realisation) - rmin_ambiguity(
-                coarse, node, coarse_real
+            d_minus = rmin_ambiguity(dist, node, realisation, base=base) - rmin_ambiguity(
+                coarse, node, coarse_real, base=base
             )
             residuals[(realisation, node)] = max(abs(d_plus), abs(d_minus))
     return residuals
 
 
-def per_node_rmin_deviation(dist, variants):
+def per_node_rmin_deviation(dist, variants, base=2.0):
     worst = 0.0
     for realisation in dist.support:
         for node in lattice_for(dist.n).nodes:
-            plus = rmin_specificity(dist, node, realisation)
-            minus = rmin_ambiguity(dist, node, realisation)
+            plus = rmin_specificity(dist, node, realisation, base=base)
+            minus = rmin_ambiguity(dist, node, realisation, base=base)
             for members in variants(node):
                 worst = max(
                     worst,
-                    abs(rmin_specificity(dist, members, realisation) - plus),
-                    abs(rmin_ambiguity(dist, members, realisation) - minus),
+                    abs(rmin_specificity(dist, members, realisation, base=base) - plus),
+                    abs(rmin_ambiguity(dist, members, realisation, base=base) - minus),
                 )
     return worst
+
+
+def per_node_table_deviation(table, variants):
+    """Worst gap between ``rmin_*`` on each variant and the table's node values."""
+    dist, base = table.dist, table.base
+    given, towards = table.given_components, table.target_components
+    worst = 0.0
+    for realisation, rows in table.pointwise.items():
+        for node, row in rows.items():
+            for members in variants(node):
+                worst = max(
+                    worst,
+                    abs(rmin_specificity(dist, members, realisation, given=given, base=base)
+                        - row.r_plus),
+                    abs(rmin_ambiguity(dist, members, realisation, components=towards,
+                                       given=given, base=base) - row.r_minus),
+                )
+    return worst
+
+
+def per_node_closed_form_deviation(table):
+    """Worst gap between ``closed_form_partial`` and the table's increments."""
+    dist, base, lattice = table.dist, table.base, table.lattice
+    given, towards = table.given_components, table.target_components
+    worst = 0.0
+    for realisation, rows in table.pointwise.items():
+        h_plus = {
+            event: rmin_specificity(dist, [event], realisation, given=given, base=base)
+            for event in all_events(dist.n)
+        }
+        h_minus = {
+            event: rmin_ambiguity(dist, [event], realisation, components=towards,
+                                  given=given, base=base)
+            for event in all_events(dist.n)
+        }
+        for node, row in rows.items():
+            worst = max(
+                worst,
+                abs(closed_form_partial(lattice, node, h_plus) - row.pi_plus),
+                abs(closed_form_partial(lattice, node, h_minus) - row.pi_minus),
+            )
+    return worst
+
+
+def per_node_corollaries(dist, base=2.0):
+    """The conditional-corollaries ``worst``, one ``rmin_*`` call per node and form."""
+    names = dist.schema.target_components
+    worst = 0.0
+    for realisation in dist.support:
+        for node in lattice_for(dist.n).nodes:
+            plain_plus = rmin_specificity(dist, node, realisation, base=base)
+            for k, name in enumerate(names):
+                sub = dist.compose_targets((name,))
+                sub_real = sub.realisation(realisation.predictors, (realisation.target[k],))
+                worst = max(worst, abs(
+                    rmin_specificity(sub, node, sub_real, base=base) - plain_plus))
+            for a, b in permutations(names, 2):
+                worst = max(
+                    worst,
+                    abs(rmin_specificity(dist, node, realisation, given=(b,), base=base)
+                        - rmin_ambiguity(dist, node, realisation, components=(b,), base=base)),
+                    abs(rmin_ambiguity(dist, node, realisation, components=(a,), given=(b,),
+                                       base=base)
+                        - rmin_ambiguity(dist, node, realisation, components=(a, b),
+                                         base=base)),
+                )
+    return worst
+
+
+def permuted(node):
+    members = list(node.sources)
+    return (members[::-1], members[1:] + members[:1])
 
 
 @sweep_oracle
@@ -467,24 +543,22 @@ def per_node_rmin_deviation(dist, variants):
     seed=st.integers(0, 10**9),
     n=st.sampled_from([1, 2, 3, 4]),
     arity=st.sampled_from([1, 2, 3]),
+    base=st.sampled_from([2.0, 10.0]),
 )
-def test_reports_and_checks_match_per_node_values(seed, n, arity):
-    # The reports read node values off one sweep per conditioning set;
+def test_reports_and_checks_match_per_node_values(seed, n, arity, base):
+    # The reports read node values off one sweep per conditioning set, and
+    # the rmin_* oracle checks off each realisation's member probabilities;
     # the reference evaluates every (realisation, node) through rmin_*.
     dist = random_multi_target_distribution(random.Random(seed), n, arity)
     names = dist.schema.target_components or (dist.schema.target,)
     for order in (names, names[::-1]):
-        report = target_chain_rule_report(dist, order)
-        assert dict(report.residuals) == per_node_chain_residuals(dist, order)
-    report = coarsening_invariance_report(dist)
-    assert dict(report.residuals) == per_node_coarsening_residuals(dist)
+        report = target_chain_rule_report(dist, order, base=base)
+        assert dict(report.residuals) == per_node_chain_residuals(dist, order, base)
+    report = coarsening_invariance_report(dist, base=base)
+    assert dict(report.residuals) == per_node_coarsening_residuals(dist, base)
 
-    table = decompose(dist)
+    table = decompose(dist, base=base)
     full = SourceEvent.of(*range(1, n + 1))
-
-    def permuted(node):
-        members = list(node.sources)
-        return (members[::-1], members[1:] + members[:1])
 
     def padded(node):
         return (list(node.sources) + [full],)
@@ -493,8 +567,68 @@ def test_reports_and_checks_match_per_node_values(seed, n, arity):
         (check_member_permutation, permuted),
         (check_superset_irrelevance, padded),
     ):
-        worst = check(dist, table).worst
-        assert check(dist).worst == worst == per_node_rmin_deviation(dist, variants)
+        worst = check(dist, table, base=base).worst
+        assert check(dist, base=base).worst == worst == per_node_rmin_deviation(
+            dist, variants, base)
+    if arity > 1:
+        assert repr(check_conditional_corollaries(dist, base=base).worst) == repr(
+            per_node_corollaries(dist, base))
+
+
+@moderate
+@given(seed=st.integers(0, 10**9), n=st.sampled_from([1, 2, 3, 4]))
+def test_rmin_checks_match_per_node_loops_on_random_tables(seed, n):
+    # Random node values and increments make every worst nonzero, so the
+    # comparison by repr tests each value the checks compute, not zeros.
+    rng = random.Random(seed)
+    dist = random_multi_target_distribution(rng, n, 1)
+    table = random_table(rng, dist, consistent=False)
+    full = SourceEvent.of(*range(1, n + 1))
+    for check, reference in (
+        (check_member_permutation, lambda: per_node_table_deviation(table, permuted)),
+        (check_superset_irrelevance,
+         lambda: per_node_table_deviation(table, lambda node: (list(node.sources) + [full],))),
+        (check_closed_form_agreement, lambda: per_node_closed_form_deviation(table)),
+    ):
+        assert repr(check(dist, table).worst) == repr(reference()), check.__name__
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closed_form_by_position_matches_closed_form_partial(n):
+    # A table whose increments are closed_form_partial's values passes with
+    # worst exactly 0.0, so the check's value equals it at every node.
+    # Unconditional in base 2, and given t1 in base 10.  At n = 5 two rows
+    # keep the 7,579-node reference loop short.
+    rng = random.Random(n)
+    if n < 5:
+        dist = random_multi_target_distribution(rng, n, 2)
+    else:
+        dist = JointDistribution.from_rows(
+            [("2/3", tuple("01101"), ("0", "1")), ("1/3", tuple("11001"), ("1", "1"))],
+            predictors=tuple(f"s{i}" for i in range(1, 6)),
+            target="t",
+            target_components=("t1", "t2"),
+        )
+    lattice = lattice_for(n, 5)
+    for held, base in (((), 2.0), (("t1",), 10.0)):
+        towards = tuple(name for name in ("t1", "t2") if name not in held)
+        columns = {}
+        for realisation in dist.support:
+            sides = []
+            for h in (
+                {event: rmin_specificity(dist, [event], realisation, given=held, base=base)
+                 for event in all_events(n)},
+                {event: rmin_ambiguity(dist, [event], realisation, components=towards,
+                                       given=held, base=base)
+                 for event in all_events(n)},
+            ):
+                sides.append([closed_form_partial(lattice, node, h) for node in lattice.nodes])
+            pi_plus, pi_minus = sides
+            r = [random_value(rng) for _ in lattice.nodes]
+            columns[realisation] = (r, r, pi_plus, pi_minus, [a - b for a, b in zip(*sides)])
+        averages = tuple([0.0] * len(lattice.nodes) for _ in range(5))
+        table = AtomTable(dist, lattice, towards, held, base, columns, averages)
+        assert check_closed_form_agreement(dist, table, base=base).worst == 0.0
 
 
 def with_near_ties(dist):
