@@ -9,10 +9,13 @@ prints one line per result.
 The checks deliberately recompute their reference values through routes
 different from the decomposition engine (probability ratios, library
 entropy sums, the closed-form increment), so agreement is evidence and
-not tautology.  The member-permutation and superset-irrelevance checks
-compare the values of reordered and padded members with the engine
-table's ``r_plus``/``r_minus``; the conditional corollaries compare
-values across conditioning sets and target components.
+not tautology.  The :mod:`specamb.measures` oracle takes each
+probability as a ratio of two exact joint masses, never from the
+conditional tables and ranks the engine reads.  The member-permutation
+and superset-irrelevance checks compare the values of reordered and
+padded members with the engine table's ``r_plus``/``r_minus``; the
+conditional corollaries compare values across conditioning sets and
+target components.
 
 Those three checks and closed-form agreement value member lists as
 ``rmin_*`` do, without calling them once per node.  For each
@@ -27,9 +30,10 @@ bit the one ``rmin_*`` give.  Closed-form agreement takes each node's
 smallest member surprisal over :attr:`Lattice.member_masks` and
 subtracts the largest such value over :attr:`Lattice.cover_positions`:
 the formula of :func:`closed_form_partial`, by node position.  Each
-check resolves its ``given`` and ``components`` once, through the
-functions ``rmin_*`` use, so the corollaries still test how the two
-arguments resolve.  None of this reads the engine's ranks
+check resolves its ``given`` and ``components`` once, through
+:meth:`VariableSchema.component_slots`, the resolver ``rmin_*`` use, so
+the corollaries still test how the two arguments resolve.  None of this
+reads the engine's ranks
 (:meth:`JointDistribution.ranked_conditionals`) or its sweep.
 Self-redundancy still calls ``rmin_*``, so their argument handling
 stays exercised.
@@ -64,8 +68,6 @@ from typing import Optional
 
 from specamb.decomposition import (
     AtomTable,
-    _component_slots,
-    _resolve_components,
     coarsening_invariance_report,
     decompose,
     rmin_ambiguity,
@@ -188,20 +190,6 @@ def check_recombination_identity(
                    f"{len(dist.support)} realisations, all source events")
 
 
-def _slots(
-    dist: JointDistribution, components: Sequence[str], given: Sequence[str]
-) -> tuple[int, ...]:
-    """The conditioning slots of ``rmin_ambiguity(components=components, given=given)``.
-
-    ``components=()`` gives those of ``rmin_specificity(given=given)``.
-    Both name lists resolve through the functions ``rmin_*`` use, one
-    after the other.
-    """
-    return _component_slots(
-        dist, _resolve_components(dist, components) + _resolve_components(dist, given)
-    )
-
-
 def _member_values(
     dist: JointDistribution, realisation: Realisation, slots: tuple[int, ...], base: float
 ) -> tuple[dict[int, Fraction], dict[int, float]]:
@@ -248,8 +236,8 @@ def _rmin_deviation(
     conditioning.
     """
     given = table.given_components
-    plus_slots = _slots(dist, (), given)
-    minus_slots = _slots(dist, table.target_components, given)
+    plus_slots = dist.schema.component_slots(given)
+    minus_slots = dist.schema.component_slots(table.target_components, given)
     member_masks = table.lattice.member_masks
     r_minus = table.column("r_minus")
     worst = 0.0
@@ -432,8 +420,8 @@ def check_closed_form_agreement(
     given = table.given_components
     worst = 0.0
     for field, slots in (
-        ("pi_plus", _slots(dist, (), given)),
-        ("pi_minus", _slots(dist, table.target_components, given)),
+        ("pi_plus", dist.schema.component_slots(given)),
+        ("pi_minus", dist.schema.component_slots(table.target_components, given)),
     ):
         for realisation, increments in table.column(field).items():
             h = _member_values(dist, realisation, slots, base)[1]
@@ -578,14 +566,14 @@ def check_conditional_corollaries(
     target at all; ambiguity towards a conditioned on b equals ambiguity
     towards the pair.
     """
-    names = dist.schema.target_components
+    schema = dist.schema
+    names = schema.target_components
     if names is None or len(names) < 2:
         raise SchemaError("conditional corollaries need at least two target components")
     member_masks = lattice_for(dist.n, max_predictors).member_masks
     reduced = {name: dist.compose_targets((name,)) for name in names}
-    positions = {name: dist.schema.component_index(name) for name in names}
-    plain = _slots(dist, (), ())
-    reduced_plain = {name: _slots(sub, (), ()) for name, sub in reduced.items()}
+    positions = {name: schema.component_index(name) for name in names}
+    plain = ()
     # Per ordered pair (a, b): conditional specificity given b against
     # ambiguity towards b, and ambiguity towards a given b against
     # ambiguity towards (a, b).
@@ -593,8 +581,8 @@ def check_conditional_corollaries(
         side
         for a, b in permutations(names, 2)
         for side in (
-            (_slots(dist, (), (b,)), _slots(dist, (b,), ())),
-            (_slots(dist, (a,), (b,)), _slots(dist, (a, b), ())),
+            (schema.component_slots((), (b,)), schema.component_slots((b,))),
+            (schema.component_slots((a,), (b,)), schema.component_slots((a, b))),
         )
     ]
     needed = {plain, *(slots for pair in pairs for slots in pair)}
@@ -608,7 +596,7 @@ def check_conditional_corollaries(
             sub_real = sub.realisation(
                 realisation.predictors, (realisation.target[positions[name]],)
             )
-            sub_plus = map(_node_value(sub, sub_real, reduced_plain[name], base), member_masks)
+            sub_plus = map(_node_value(sub, sub_real, plain, base), member_masks)
             worst = max(worst, _largest_gap(sub_plus, columns[plain]))
         for left, right in pairs:
             worst = max(worst, _largest_gap(columns[left], columns[right]))

@@ -26,11 +26,14 @@ set-level decomposition of ``I(S1..Sn; T)``.
 
 Composite targets support conditional decompositions: ``given`` names the
 target components held fixed, and all redundancies become conditional on
-their realised events.  The target chain rule (redundancy about a joint
-target equals the sum of conditional redundancies in any component order)
-and the two-event target coarsening invariance are exposed as report
-functions, since they are the load-bearing consistency properties of the
-construction.
+their realised events.  Every component name goes through
+:meth:`VariableSchema.component_slots`, the one resolver the package
+shares (a scalar target's own name is slot 0); from there the engine,
+``rmin_*`` and the reports work on sorted target slots.  The target
+chain rule (redundancy about a joint target equals the sum of
+conditional redundancies in any component order) and the two-event
+target coarsening invariance are exposed as report functions, since
+they are the load-bearing consistency properties of the construction.
 
 Every lattice-wide node value comes from one sweep per realisation and
 conditioning set: ``decompose`` runs two, the chain-rule report one per
@@ -132,31 +135,18 @@ _FIELDS = tuple(field.name for field in fields(AtomRow))
 _Columns = tuple[list[float], ...]
 
 
-def _component_slots(dist: JointDistribution, names: Sequence[str]) -> tuple[int, ...]:
-    """Sorted target-event slots of already resolved component names.
-
-    This is the order projections take; a scalar target is its own single
-    component, in slot 0.
-    """
-    schema = dist.schema
-    if schema.target_components is None:
-        return (0,) if names else ()
-    return tuple(sorted({schema.component_index(name) for name in names}))
-
-
 def _rmin(
     dist: JointDistribution,
     sources: Union[LatticeNode, Iterable[SourceEvent]],
     realisation: Realisation,
-    conditioning: Sequence[str],
+    slots: tuple[int, ...],
     base: float,
 ) -> float:
-    """Surprisal of the most probable member given the realised ``conditioning``.
+    """Surprisal of the most probable member given the realised target ``slots``.
 
     Each member's probability is one lookup in the distribution's
-    conditional table for that member and the conditioning components.
+    conditional table for that member and the conditioning slots.
     """
-    slots = _component_slots(dist, conditioning)
     given = tuple(realisation.target[k] for k in slots)
     try:
         best = max(
@@ -166,29 +156,6 @@ def _rmin(
     except KeyError:
         raise MassError(f"realisation {realisation.outcome!r} is not in the support") from None
     return -log_of(best, base)
-
-
-def _component_names(dist: JointDistribution) -> tuple[str, ...]:
-    schema = dist.schema
-    if schema.target is None:
-        raise SchemaError("this distribution has no target to decompose against")
-    if schema.target_components is not None:
-        return schema.target_components
-    return (schema.target,)
-
-
-def _resolve_components(
-    dist: JointDistribution, names: Union[Sequence[str], None]
-) -> tuple[str, ...]:
-    available = _component_names(dist)
-    if names is None:
-        return available
-    for name in names:
-        if name not in available:
-            raise SchemaError(f"unknown target component {name!r}; have {available!r}")
-    if len(set(names)) != len(names):
-        raise SchemaError(f"repeated target components in {names!r}")
-    return tuple(names)
 
 
 def _sources_of(sources: Union[LatticeNode, Iterable[SourceEvent]]) -> tuple[SourceEvent, ...]:
@@ -217,7 +184,7 @@ def rmin_specificity(
     value is target-independent.
     """
     validate_base(base)
-    return _rmin(dist, sources, realisation, _resolve_components(dist, given), base)
+    return _rmin(dist, sources, realisation, dist.schema.component_slots(given), base)
 
 
 def rmin_ambiguity(
@@ -238,9 +205,8 @@ def rmin_ambiguity(
     their union.
     """
     validate_base(base)
-    sel = _resolve_components(dist, components)
-    giv = _resolve_components(dist, given)
-    return _rmin(dist, sources, realisation, sel + giv, base)
+    slots = dist.schema.component_slots(components, given)
+    return _rmin(dist, sources, realisation, slots, base)
 
 
 def node_redundancy(
@@ -401,9 +367,11 @@ class AtomTable:
         ]
         value_names = ["r_plus", "r_minus", "pi_plus", "pi_minus", "pi"]
         if which != "average":
+            shown = self.target_components + self.given_components
+            slots = list(map(schema.component_names.index, shown))
             header = (
                 ["p", *schema.predictors]
-                + [",".join(self.target_components + self.given_components)]
+                + [",".join(shown)]
                 + ["node", "atom", *value_names]
             )
             lines = [",".join(_csv_cell(h) for h in header)]
@@ -413,7 +381,7 @@ class AtomTable:
                     for c in (
                         str(realisation.p),
                         *realisation.predictors,
-                        _target_cell(self.dist, realisation, self.target_components, self.given_components),
+                        ",".join(map(realisation.target.__getitem__, slots)),
                     )
                 )
                 lines.extend(
@@ -613,22 +581,9 @@ def _json_values(columns: _Columns, order: Sequence[int]) -> tuple[float, ...]:
 
 
 def _csv_cell(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
+    if "," in value or '"' in value or "\n" in value or "\r" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
-
-
-def _target_cell(
-    dist: JointDistribution,
-    realisation: Realisation,
-    target_components: tuple[str, ...],
-    given_components: tuple[str, ...],
-) -> str:
-    index = dist.schema.component_index if dist.schema.target_components is not None else None
-    if index is None:
-        return realisation.target[0]
-    shown = tuple(target_components) + tuple(given_components)
-    return ",".join(realisation.target[index(name)] for name in shown)
 
 
 def _sweep(
@@ -661,9 +616,9 @@ def _sweep(
 
 
 def _side(
-    dist: JointDistribution, lattice: Lattice, conditioning: Sequence[str], base: float
+    dist: JointDistribution, lattice: Lattice, slots: tuple[int, ...], base: float
 ) -> Callable[..., tuple[list[float], list[float]]]:
-    """The sweep of one side, conditional on the realised ``conditioning``.
+    """The sweep of one side, conditional on the realised target ``slots``.
 
     The returned function takes a realisation and its labels at each of
     :func:`source_events`; its node values equal ``rmin_*``'s exactly.
@@ -671,7 +626,6 @@ def _side(
     (:meth:`JointDistribution.ranked_conditionals`), and each distinct
     probability takes one logarithm.
     """
-    slots = _component_slots(dist, conditioning)
     masses, tables = dist.ranked_conditionals(slots)
     surprisal = [-log_of(p, base) for p in masses]
 
@@ -698,16 +652,19 @@ def decompose(
     exact zeros.
     """
     validate_base(base)
-    available = _component_names(dist)
-    given = _resolve_components(dist, tuple(given))
-    target_components = tuple(name for name in available if name not in given)
+    schema = dist.schema
+    given = tuple(given)
+    held = schema.component_slots(given)
+    target_components = tuple(
+        name for k, name in enumerate(schema.component_names) if k not in held
+    )
     if not target_components:
         raise SchemaError("conditioning on every target component leaves nothing to decompose")
     lattice = lattice_for(dist.n, max_predictors)
     clamp = dist.mode == "rational"
     # Specificity conditions on the held components, ambiguity on every one.
-    plus_side = _side(dist, lattice, given, base)
-    minus_side = _side(dist, lattice, available, base)
+    plus_side = _side(dist, lattice, held, base)
+    minus_side = _side(dist, lattice, schema.component_slots(), base)
     events = source_events(dist.n)
     support = dist.support
     columns: dict[Realisation, _Columns] = {}
@@ -764,14 +721,15 @@ def target_chain_rule_report(
     conditional redundancies, for this and any other ordering.
     """
     validate_base(base)
-    order = _resolve_components(dist, tuple(order))
+    order = tuple(order)
+    prefix_slots = [dist.schema.component_slots(order[:k]) for k in range(len(order) + 1)]
     if not order:
         raise SchemaError("the chain rule needs at least one target component")
     lattice = lattice_for(dist.n, max_predictors)
     # Node values conditioned on each prefix of ``order``: the redundancy
     # towards component k given the earlier ones is prefix k minus prefix
     # k + 1, and towards the joint it is the empty prefix minus the whole.
-    sides = [_side(dist, lattice, order[:k], base) for k in range(len(order) + 1)]
+    sides = [_side(dist, lattice, slots, base) for slots in prefix_slots]
     events = source_events(dist.n)
     residuals: dict[tuple[Realisation, LatticeNode], float] = {}
     worst = 0.0
@@ -820,7 +778,7 @@ def coarsening_invariance_report(
     lattice = lattice_for(dist.n, max_predictors)
 
     def sides(d: JointDistribution) -> tuple:
-        return _side(d, lattice, (), base), _side(d, lattice, _component_names(d), base)
+        return _side(d, lattice, (), base), _side(d, lattice, d.schema.component_slots(), base)
 
     fine = sides(dist)
     events = source_events(dist.n)

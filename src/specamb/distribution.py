@@ -256,15 +256,81 @@ class VariableSchema:
     def n(self) -> int:
         return len(self.predictors)
 
+    @property
+    def component_names(self) -> tuple[str, ...]:
+        """The names of the target's components; a scalar target is its own one."""
+        if self.target is None:
+            raise SchemaError("this distribution has no target")
+        return self.target_components or (self.target,)
+
+    def component_slots(
+        self, names: Union[Sequence[str], None] = None, given: Sequence[str] = ()
+    ) -> tuple[int, ...]:
+        """Sorted target-event slots of the components ``names`` and ``given`` name.
+
+        This is where every module resolves target-component names.
+        ``names=None`` means every component, and a scalar target's own
+        name is slot 0.  A name that is unknown or appears twice in one
+        list is a :class:`SchemaError`; the two lists may overlap, as the
+        selected and the held components of an ambiguity do.
+
+        >>> d = JointDistribution.from_rows(
+        ...     [(1, ("0",), ("0", "1"))], target_components=("t1", "t2"))
+        >>> d.schema.component_slots(("t2",), given=("t1", "t2"))
+        (0, 1)
+        """
+        slots: set[int] = set()
+        for listed in (names, given):
+            if listed is None:
+                slots.update(range(len(self.component_names)))
+                continue
+            listed = tuple(listed)
+            for name in listed:
+                if name not in self.component_names:
+                    raise SchemaError(
+                        f"unknown target component {name!r}; have {self.component_names!r}"
+                    )
+                slots.add(self.component_names.index(name))
+            if len(set(listed)) != len(listed):
+                raise SchemaError(f"repeated target components in {listed!r}")
+        return tuple(sorted(slots))
+
     def component_index(self, name: str) -> int:
+        """The slot of one component of a composite target."""
         if self.target_components is None:
             raise SchemaError(f"no target components declared, got {name!r}")
-        try:
-            return self.target_components.index(name)
-        except ValueError:
-            raise SchemaError(
-                f"unknown target component {name!r}; have {self.target_components!r}"
-            ) from None
+        return self.component_slots((name,))[0]
+
+    def resolve(self, assignment: Assignment) -> tuple[dict[int, Label], dict[int, Label]]:
+        """Split a name-keyed assignment into labels by position.
+
+        Keys are predictor names, target component names, or the target
+        name itself, whose value may be the event tuple or the
+        comma-joined label.  Returns the labels by 1-based predictor
+        position, as in :class:`SourceEvent`, and by target slot.
+        """
+        by_predictor: dict[int, Label] = {}
+        by_component: dict[int, Label] = {}
+        for name, value in assignment.items():
+            if name in self.predictors:
+                if not isinstance(value, str):
+                    raise SchemaError(f"predictor {name!r} takes a single label")
+                by_predictor[self.predictors.index(name) + 1] = value
+            elif self.target is None:
+                raise SchemaError(f"unknown variable {name!r}")
+            elif name == self.target:
+                arity = self.target_arity()
+                event = _split_target(value, arity) if isinstance(value, str) else tuple(value)
+                if len(event) != arity:
+                    raise SchemaError(f"target event {value!r} has the wrong arity")
+                for k, label in enumerate(event):
+                    _merge_constraint(by_component, k, label)
+            else:
+                (k,) = self.component_slots((name,))
+                if not isinstance(value, str):
+                    raise SchemaError(f"component {name!r} takes a single label")
+                _merge_constraint(by_component, k, value)
+        return by_predictor, by_component
 
     def target_arity(self) -> int:
         """Number of component labels in a target event."""
@@ -508,49 +574,20 @@ class JointDistribution:
     # ------------------------------------------------------------------
     # probability queries
 
-    def _resolve(self, assignment: Assignment) -> tuple[dict[int, Label], dict[int, Label]]:
-        """Split a name-keyed assignment into predictor and component constraints."""
-        schema = self.schema
-        by_predictor: dict[int, Label] = {}
-        by_component: dict[int, Label] = {}
-        for name, value in assignment.items():
-            if name in schema.predictors:
-                if not isinstance(value, str):
-                    raise SchemaError(f"predictor {name!r} takes a single label")
-                by_predictor[schema.predictors.index(name)] = value
-            elif schema.target is not None and name == schema.target:
-                event = (
-                    _split_target(value, self.schema.target_arity())
-                    if isinstance(value, str)
-                    else tuple(value)
-                )
-                if len(event) != self.schema.target_arity():
-                    raise SchemaError(f"target event {value!r} has the wrong arity")
-                for k, label in enumerate(event):
-                    _merge_constraint(by_component, k, label)
-            elif schema.target_components is not None and name in schema.target_components:
-                if not isinstance(value, str):
-                    raise SchemaError(f"component {name!r} takes a single label")
-                _merge_constraint(by_component, schema.component_index(name), value)
-            else:
-                raise SchemaError(f"unknown variable {name!r}")
-        return by_predictor, by_component
-
     def probability(self, assignment: Assignment) -> Fraction:
         """Exact probability of a partial assignment of variables.
 
         Keys are predictor names, target component names, or the target name
         itself (whose value may be the event tuple or the comma-joined
-        label).
+        label); :meth:`VariableSchema.resolve` reads them.
         """
-        by_predictor, by_component = self._resolve(assignment)
-        predictors = sorted(by_predictor)
+        by_predictor, by_component = self.schema.resolve(assignment)
+        predictors = tuple(sorted(by_predictor))
         components = tuple(sorted(by_component))
-        table = self.joint_masses(tuple(i + 1 for i in predictors), components)
-        labels = tuple(by_predictor[i] for i in predictors) + tuple(
-            by_component[k] for k in components
+        labels = tuple(map(by_predictor.__getitem__, predictors)) + tuple(
+            map(by_component.__getitem__, components)
         )
-        return table.get(labels, Fraction(0))
+        return self.joint_masses(predictors, components).get(labels, Fraction(0))
 
     # ------------------------------------------------------------------
     # exact marginal layer
@@ -738,7 +775,7 @@ class JointDistribution:
             kept = tuple(event)
         if len(kept) != arity:
             raise SchemaError(f"target event {event!r} has the wrong arity")
-        if self.probability({self.schema.target: kept}) == 0:  # type: ignore[dict-item]
+        if kept not in self.joint_masses((), tuple(range(arity))):
             raise MassError(f"target event {kept!r} has zero probability")
         label = ",".join(kept)
         other = f"~{label}"

@@ -13,6 +13,18 @@ depend on the target event; ambiguity does.  Both generalise to
 conditional forms by adding realised source events or target components to
 the conditioning set, and the same split applies there.
 
+Each probability is the ratio of two exact joint masses, the event's
+with its conditioning and the conditioning's alone, each one entry of
+:meth:`JointDistribution.joint_masses` looked up by predictor positions
+and target slots.  The realisation-based measures read their labels off
+the realisation at those positions; the two name-keyed entropies
+resolve their dicts once through :meth:`VariableSchema.resolve`, and
+target-component names go through :meth:`VariableSchema.component_slots`,
+as everywhere else.  This module never reads the engine's conditional
+view (:meth:`JointDistribution.conditional_masses` and its ranking), so
+the checks that compare the two, such as recombination identity and
+self-redundancy, compare two routes.
+
 Probabilities stay :class:`fractions.Fraction` until the single logarithm
 at the end, so equal probabilities always produce bit-identical values.
 Averages over the support use compensated summation.
@@ -31,7 +43,6 @@ from specamb.distribution import (
     JointDistribution,
     MassError,
     Realisation,
-    SchemaError,
     SourceEvent,
 )
 
@@ -94,42 +105,49 @@ def log_of(p: Fraction, base: float) -> float:
     return bits / math.log2(base)
 
 
-def _assignment(
-    dist: JointDistribution,
-    realisation: Realisation,
-    sources: Iterable[SourceEvent],
-    components: Iterable[str],
-    full_target: bool,
-) -> dict[str, str]:
-    schema = dist.schema
-    out: dict[str, str] = {}
+# A partial event by position: labels keyed by 1-based predictor position
+# and by target slot.
+_Event = tuple[dict[int, str], dict[int, str]]
+
+
+def _realised(
+    realisation: Realisation, sources: Iterable[SourceEvent], slots: Iterable[int]
+) -> _Event:
+    """The labels ``realisation`` takes at the positions of ``sources`` and at ``slots``."""
+    predictors: dict[int, str] = {}
     for source in sources:
-        for i, label in zip(source.indices, realisation.source_labels(source)):
-            name = schema.predictors[i - 1]
-            if out.setdefault(name, label) != label:
-                raise SchemaError(f"conflicting constraints on predictor {name!r}")
-    if full_target:
-        if schema.target is None:
-            raise SchemaError("this distribution has no target")
-        out[schema.target] = realisation.target  # type: ignore[assignment]
-    for name in components:
-        k = schema.component_index(name)
-        out[name] = realisation.target[k]
-    return out
+        predictors.update(zip(source.indices, realisation.source_labels(source)))
+    return predictors, {k: realisation.target[k] for k in slots}
 
 
-def _conditional_probability(
-    dist: JointDistribution,
-    event: dict[str, str],
-    given: dict[str, str],
-) -> Fraction:
-    # With nothing given this is the total mass, so decimal-mode tables
-    # that sum to 1 within rounding are normalised as the engine does.
-    denom = dist.probability(given)
-    if denom == 0:
-        raise MassError(f"conditioning event {given!r} has zero probability")
-    joint = dist.probability({**event, **given})
-    return joint / denom
+def _mass(dist: JointDistribution, event: _Event) -> Fraction:
+    """The exact joint mass of ``event``: one :meth:`JointDistribution.joint_masses` entry."""
+    predictors, components = event
+    positions = tuple(sorted(predictors))
+    slots = tuple(sorted(components))
+    labels = tuple(map(predictors.__getitem__, positions)) + tuple(
+        map(components.__getitem__, slots)
+    )
+    return dist.joint_masses(positions, slots).get(labels, Fraction(0))
+
+
+def _conditional(dist: JointDistribution, event: _Event, given: _Event) -> Fraction:
+    """``p(event | given)``, the ratio of the joint masses of both and of ``given``.
+
+    An event that gives a variable another label than ``given`` does has
+    zero probability.  With nothing given the denominator is the total
+    mass, so decimal-mode tables that sum to 1 within rounding are
+    normalised as the engine does.
+    """
+    denominator = _mass(dist, given)
+    if denominator == 0:
+        raise MassError("the conditioning event has zero probability")
+    joint = []
+    for own, held in zip(event, given):
+        if any(held.get(k, label) != label for k, label in own.items()):
+            return Fraction(0)
+        joint.append({**own, **held})
+    return _mass(dist, tuple(joint)) / denominator
 
 
 def pointwise_entropy(
@@ -146,8 +164,7 @@ def pointwise_entropy(
     >>> pointwise_entropy(d, {"s1": "1"})
     InfoValue(1.0 bits)
     """
-    validate_base(base)
-    return InfoValue(-log_of(_conditional_probability(dist, event, {}), base), base)
+    return pointwise_conditional_entropy(dist, event, {}, base)
 
 
 def pointwise_conditional_entropy(
@@ -156,9 +173,15 @@ def pointwise_conditional_entropy(
     given: dict[str, Union[str, tuple[str, ...]]],
     base: float = 2.0,
 ) -> InfoValue:
-    """Conditional surprisal ``h(event | given)``."""
+    """Conditional surprisal ``h(event | given)``.
+
+    An ``event`` that contradicts ``given`` has zero probability, so its
+    surprisal is a :class:`MassError`.
+    """
     validate_base(base)
-    return InfoValue(-log_of(_conditional_probability(dist, event, given), base), base)
+    schema = dist.schema
+    p = _conditional(dist, schema.resolve(event), schema.resolve(given))
+    return InfoValue(-log_of(p, base), base)
 
 
 def specificity(
@@ -179,9 +202,11 @@ def specificity(
     decompositions.
     """
     validate_base(base)
-    event = _assignment(dist, realisation, (source,), (), False)
-    given = _assignment(dist, realisation, given_sources, given_components, False)
-    return InfoValue(-log_of(_conditional_probability(dist, event, given), base), base)
+    slots = dist.schema.component_slots(given_components)
+    p = _conditional(
+        dist, _realised(realisation, (source,), ()), _realised(realisation, given_sources, slots)
+    )
+    return InfoValue(-log_of(p, base), base)
 
 
 def ambiguity(
@@ -202,15 +227,11 @@ def ambiguity(
     conditioning set exactly as for :func:`specificity`.
     """
     validate_base(base)
-    event = _assignment(dist, realisation, (source,), (), False)
-    given = _assignment(
-        dist,
-        realisation,
-        given_sources,
-        tuple(components) + tuple(given_components) if components is not None else given_components,
-        components is None,
+    slots = dist.schema.component_slots(components, given_components)
+    p = _conditional(
+        dist, _realised(realisation, (source,), ()), _realised(realisation, given_sources, slots)
     )
-    return InfoValue(-log_of(_conditional_probability(dist, event, given), base), base)
+    return InfoValue(-log_of(p, base), base)
 
 
 def pointwise_mutual_information(
@@ -238,13 +259,12 @@ def pointwise_mutual_information(
     validate_base(base)
     if source is None:
         source = SourceEvent(tuple(range(1, dist.n + 1)))
-    target_event = _assignment(
-        dist, realisation, (), tuple(components) if components is not None else (), components is None
-    )
-    given = _assignment(dist, realisation, given_sources, given_components, False)
-    source_event = _assignment(dist, realisation, (source,), (), False)
-    posterior = _conditional_probability(dist, target_event, {**source_event, **given})
-    prior = _conditional_probability(dist, target_event, given)
+    schema = dist.schema
+    held = schema.component_slots(given_components)
+    given_sources = tuple(given_sources)
+    target = _realised(realisation, (), schema.component_slots(components))
+    posterior = _conditional(dist, target, _realised(realisation, (source, *given_sources), held))
+    prior = _conditional(dist, target, _realised(realisation, given_sources, held))
     return InfoValue(log_of(posterior, base) - log_of(prior, base), base)
 
 

@@ -1,11 +1,9 @@
 """The self-check battery: every invariant holds on the corpus."""
 
 import random
-from itertools import count
 
 import pytest
 
-import specamb.checks
 from conftest import random_rational_distribution
 from specamb.checks import (
     CheckResult,
@@ -26,7 +24,7 @@ from specamb.checks import (
 )
 from specamb.corpus import CORPUS_NAMES, build
 from specamb.decomposition import AtomTable, decompose
-from specamb.distribution import DistributionError, SchemaError
+from specamb.distribution import DistributionError, SchemaError, VariableSchema
 
 # Every check that accepts a prebuilt table.
 TABLE_CHECKS = [
@@ -170,17 +168,16 @@ def test_closed_form_reads_the_table_conditioning():
 
 
 def test_corollaries_fail_when_given_does_not_resolve(monkeypatch):
-    # Each conditioning resolves its components and then its given
-    # components, as rmin_ambiguity does; the mutant drops the second.
-    resolve = specamb.checks._resolve_components
-    calls = count()
+    # Each conditioning resolves its components together with its given
+    # components, as rmin_ambiguity does; the mutant drops the given ones.
+    resolve = VariableSchema.component_slots
 
-    def drop_given(dist, names):
-        return resolve(dist, names) if next(calls) % 2 == 0 else ()
+    def drop_given(schema, names=None, given=()):
+        return resolve(schema, names)
 
     dist = build("tbc")
     assert check_conditional_corollaries(dist).ok
-    monkeypatch.setattr(specamb.checks, "_resolve_components", drop_given)
+    monkeypatch.setattr(VariableSchema, "component_slots", drop_given)
     result = check_conditional_corollaries(dist)
     assert not result.ok
     assert result.worst > 0.5

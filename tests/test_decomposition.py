@@ -1,5 +1,8 @@
 """The decomposition engine: node values, increments, reports, serialisation."""
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from specamb.distribution import (
     Realisation,
     SchemaError,
     SourceEvent,
+    loads_json,
 )
 from specamb.lattice import LatticeNode
 from specamb.measures import mutual_information
@@ -199,6 +203,25 @@ class TestSerialisation:
         assert lines[0] == "p,s1,s2,\"t1,t2,t3\",node,atom,r_plus,r_minus,pi_plus,pi_minus,pi"
         assert lines[1] == "1/4,0,0,\"0,0,0\",{1}{2},R,1,0,1,0,1"
         assert len(lines) == 1 + 4 * 4
+
+    def test_csv_with_carriage_returns_reads_back(self):
+        # RFC 4180: a cell holding a carriage return is quoted, like one
+        # holding a line feed, so a CSV reader sees the rows written.
+        text = json.dumps({
+            "schema": {"predictors": ["s\r1", "s2"], "target": "t"},
+            "mass": [
+                {"outcome": ["a\rb", "0", "0"], "p": "1/2"},
+                {"outcome": ["c", "1", "1"], "p": "1/2"},
+            ],
+        })
+        table = decompose(loads_json(text))
+        rows = list(csv.reader(io.StringIO(table.to_csv(), newline="")))
+        pointwise, blank, averages = rows[:9], rows[9], rows[10:]
+        assert pointwise[0][:3] == ["p", "s\r1", "s2"]
+        assert [row[1] for row in pointwise[1:]] == ["a\rb"] * 4 + ["c"] * 4
+        assert blank == []
+        assert len(averages) == 1 + 4
+        assert all(len(row) == 11 for row in pointwise)
 
     def test_csv_which_validation(self):
         with pytest.raises(ValueError):

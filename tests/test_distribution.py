@@ -297,6 +297,63 @@ class TestProbabilityQueries:
         assert dist.probability({"t": ("0", "1")}) == Fraction(1, 2)
 
 
+class TestComponentNames:
+    """``VariableSchema.component_slots``: the one resolver of component names."""
+
+    def composite(self) -> JointDistribution:
+        rows = [("1/2", ("0",), ("0", "1", "0")), ("1/2", ("1",), ("1", "0", "0"))]
+        return JointDistribution.from_rows(
+            rows, predictors=("s",), target="t", target_components=("t1", "t2", "t3")
+        )
+
+    def test_names_resolve_to_sorted_slots(self):
+        schema = self.composite().schema
+        assert schema.component_slots(("t3", "t1")) == (0, 2)
+        assert schema.component_slots(()) == ()
+        assert schema.component_slots(None) == (0, 1, 2)
+        assert schema.component_names == ("t1", "t2", "t3")
+
+    def test_the_two_lists_may_overlap(self):
+        schema = self.composite().schema
+        assert schema.component_slots(("t2",), given=("t3", "t2")) == (1, 2)
+        assert schema.component_slots(None, given=("t1",)) == (0, 1, 2)
+
+    def test_scalar_target_is_slot_zero(self):
+        schema = xor().schema
+        assert schema.component_slots(("t",)) == (0,)
+        assert schema.component_slots() == (0,)
+        assert schema.component_names == ("t",)
+
+    @pytest.mark.parametrize(
+        "names",
+        [("t1", "t1"), ("t9",), ("t",), ("s",)],
+        ids=["repeated", "unknown", "target", "predictor"],
+    )
+    def test_bad_names_raise(self, names):
+        schema = self.composite().schema
+        with pytest.raises(SchemaError):
+            schema.component_slots(names)
+        with pytest.raises(SchemaError):
+            schema.component_slots((), given=names)
+
+    def test_no_target_has_no_components(self):
+        schema = xor().marginal(("s1",)).schema
+        assert schema.component_slots(()) == ()
+        with pytest.raises(SchemaError):
+            schema.component_slots(None)
+        with pytest.raises(SchemaError):
+            schema.component_slots(("t",))
+
+    def test_resolve_reads_names_into_positions(self):
+        schema = self.composite().schema
+        assert schema.resolve({"s": "1", "t3": "0"}) == ({1: "1"}, {2: "0"})
+        assert schema.resolve({"t": "0,1,0", "t2": "1"}) == ({}, {0: "0", 1: "1", 2: "0"})
+        with pytest.raises(SchemaError):
+            schema.resolve({"t": "0,1,0", "t2": "0"})
+        with pytest.raises(SchemaError):
+            xor().marginal(("s1",)).schema.resolve({"t": "0"})
+
+
 class TestTransforms:
     def test_marginal_keeps_named_variables(self):
         dist = xor()
@@ -325,6 +382,13 @@ class TestTransforms:
         coarse = xor().coarsen_target_to_two_events(("0",))
         assert coarse.probability({"t": "0"}) == Fraction(1, 2)
         assert coarse.probability({"t": "~0"}) == Fraction(1, 2)
+
+    def test_coarsen_rejects_an_unrealised_event(self):
+        dist = build("tbc")
+        with pytest.raises(MassError):
+            dist.coarsen_target_to_two_events(("1", "1", "1"))
+        with pytest.raises(SchemaError):
+            dist.coarsen_target_to_two_events(("1", "1"))
 
     @pytest.mark.parametrize("name", CORPUS_NAMES + ("composite",))
     def test_coarsen_matches_merging_the_relabelled_rows(self, name):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from specamb.decomposition import rmin_ambiguity, rmin_specificity
 from specamb.distribution import (
     JointDistribution,
     MassError,
+    SchemaError,
     SourceEvent,
 )
 from specamb.measures import (
@@ -96,6 +98,91 @@ class TestEntropies:
             pointwise_conditional_entropy(dist, {"t": "0"}, {"s1": "0"})
         )
         assert joint == pytest.approx(split, abs=1e-12)
+
+
+def xor() -> JointDistribution:
+    rows = [
+        ("1/4", ("0", "0"), "0"),
+        ("1/4", ("0", "1"), "1"),
+        ("1/4", ("1", "0"), "1"),
+        ("1/4", ("1", "1"), "0"),
+    ]
+    return JointDistribution.from_rows(rows, predictors=("s1", "s2"), target="t")
+
+
+class TestConflictingLabels:
+    # An event that gives a variable another label than the conditioning
+    # event does has zero probability, like any zero-mass event.
+    @pytest.mark.parametrize(
+        "dist, event, given",
+        [
+            (xor, {"s1": "0"}, {"s1": "1"}),
+            (xor, {"t": "0"}, {"t": "1"}),
+            (tbc, {"t1": "0"}, {"t": ("1", "0", "1")}),
+        ],
+        ids=["predictor", "target", "component"],
+    )
+    def test_conflict_is_a_zero_mass_event(self, dist, event, given):
+        with pytest.raises(MassError):
+            pointwise_conditional_entropy(dist(), event, given)
+
+    def test_agreeing_labels_condition_on_nothing_new(self):
+        value = pointwise_conditional_entropy(tbc(), {"t1": "1"}, {"t": ("1", "0", "1")})
+        assert float(value) == 0.0
+
+
+SOURCE = SourceEvent.of(1)
+
+
+class TestNameHandling:
+    """The measures resolve target-component names as ``rmin_*`` do."""
+
+    def test_scalar_target_name_is_the_whole_target(self):
+        dist = and_gate()
+        for real in dist.support:
+            default = ambiguity(dist, SOURCE, real)
+            assert ambiguity(dist, SOURCE, real, components=("t",)) == default
+            assert specificity(dist, SOURCE, real, given_components=("t",)) == default
+            assert float(default) == rmin_specificity(dist, [SOURCE], real, given=("t",))
+            assert pointwise_mutual_information(
+                dist, real, components=("t",)
+            ) == pointwise_mutual_information(dist, real)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d, r, names: specificity(d, SOURCE, r, given_components=names),
+            lambda d, r, names: ambiguity(d, SOURCE, r, components=names),
+            lambda d, r, names: ambiguity(d, SOURCE, r, given_components=names),
+            lambda d, r, names: pointwise_mutual_information(d, r, components=names),
+            lambda d, r, names: pointwise_mutual_information(d, r, given_components=names),
+            lambda d, r, names: rmin_specificity(d, [SOURCE], r, given=names),
+            lambda d, r, names: rmin_ambiguity(d, [SOURCE], r, components=names),
+        ],
+        ids=["spec-given", "amb", "amb-given", "pmi", "pmi-given", "rmin-spec", "rmin-amb"],
+    )
+    @pytest.mark.parametrize(
+        "names", [("t1", "t1"), ("t9",), ("t",)], ids=["repeated", "unknown", "target-name"]
+    )
+    def test_bad_names_raise(self, call, names):
+        dist = tbc()
+        with pytest.raises(SchemaError):
+            call(dist, dist.support[0], names)
+
+    def test_components_may_overlap_given_components(self):
+        dist = tbc()
+        for real in dist.support:
+            overlapping = ambiguity(
+                dist, SOURCE, real, components=("t1", "t2"), given_components=("t2", "t3")
+            )
+            assert overlapping == ambiguity(dist, SOURCE, real)
+            assert float(overlapping) == rmin_ambiguity(
+                dist, [SOURCE], real, components=("t1", "t2"), given=("t2", "t3")
+            )
+            pmi = pointwise_mutual_information(
+                dist, real, SOURCE, components=("t1",), given_components=("t1", "t2")
+            )
+            assert float(pmi) == 0.0
 
 
 class TestSpecificityAndAmbiguity:

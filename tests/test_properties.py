@@ -44,6 +44,7 @@ from specamb.distribution import JointDistribution, SourceEvent
 from specamb.lattice import closed_form_partial, lattice_for, node_leq
 from specamb.measures import (
     ambiguity,
+    log_of,
     mutual_information,
     pointwise_mutual_information,
     specificity,
@@ -133,6 +134,60 @@ def test_total_is_the_mutual_information(seed, n):
     dist = draw_distribution(seed, n)
     table = decompose(dist)
     assert abs(float(table.total()) - float(mutual_information(dist))) <= TOL
+
+
+def named(dist, realisation, sources=(), components=()):
+    """The labels ``realisation`` takes at ``sources`` and ``components``, keyed by name."""
+    schema = dist.schema
+    event = {
+        schema.predictors[i - 1]: realisation.predictors[i - 1]
+        for source in sources
+        for i in source.indices
+    }
+    names = schema.target_components or (schema.target,)
+    event.update((name, realisation.target[names.index(name)]) for name in components)
+    return event
+
+
+def log_ratio(dist, event, given, base):
+    """``log p(event | given)`` from two name-keyed ``probability`` calls."""
+    return log_of(dist.probability({**event, **given}) / dist.probability(given), base)
+
+
+@moderate
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.sampled_from([1, 2, 3]),
+    composite=st.booleans(),
+    base=st.sampled_from([2.0, 10.0]),
+)
+def test_measures_are_ratios_of_named_probabilities(seed, n, composite, base):
+    # The measures read the joint tables by position; each value must be
+    # bit for bit the one the name-keyed probability route gives.
+    dist = draw_distribution(seed, n, composite=composite)
+    rng = random.Random(seed)
+    names = dist.schema.target_components or (dist.schema.target,)
+    events = all_events(n)
+    for realisation in dist.support:
+        source = rng.choice(events)
+        given_sources = rng.sample(events, rng.randint(0, min(2, len(events))))
+        held = tuple(rng.sample(names, rng.randint(0, len(names))))
+        towards = None
+        if rng.random() < 0.7:
+            towards = tuple(rng.sample(names, rng.randint(1, len(names))))
+        a = named(dist, realisation, (source,))
+        g = named(dist, realisation, given_sources, held)
+        t = named(dist, realisation, (), names if towards is None else towards)
+        options = dict(given_sources=given_sources, given_components=held, base=base)
+        spec = specificity(dist, source, realisation, **options)
+        amb = ambiguity(dist, source, realisation, components=towards, **options)
+        pmi = pointwise_mutual_information(
+            dist, realisation, source, components=towards, **options
+        )
+        assert repr(spec.value) == repr(-log_ratio(dist, a, g, base))
+        assert repr(amb.value) == repr(-log_ratio(dist, a, {**t, **g}, base))
+        expected = log_ratio(dist, t, {**a, **g}, base) - log_ratio(dist, t, g, base)
+        assert repr(pmi.value) == repr(expected)
 
 
 @light
