@@ -35,10 +35,14 @@ conditional redundancies in any component order) and the two-event
 target coarsening invariance are exposed as report functions, since
 they are the load-bearing consistency properties of the construction.
 
-Every lattice-wide node value comes from one sweep per realisation and
-conditioning set: ``decompose`` runs two, the chain-rule report one per
-prefix of its component order and the coarsening report four; ``rmin_*``
-evaluate one member list at a time.  Every probability comes from the
+Every lattice-wide node value comes from a sweep per realisation and
+conditioning set: ``decompose`` runs two sides, the chain-rule report one
+per prefix of its component order and the coarsening report four;
+``rmin_*`` evaluate one member list at a time.  A sweep depends only on
+the ranks of the realisation's source events, so each side sweeps each
+distinct rank vector once, and realisations that share one share its
+lists (on a full-support binary input with four predictors, 48 sweeps
+serve 64 realisation-sides).  Every probability comes from the
 distribution's exact marginal layer
 (:meth:`JointDistribution.conditional_masses`).  For each side the
 distribution ranks the distinct conditional masses of all ``2**n - 1``
@@ -50,30 +54,41 @@ reports check are immune to float noise.
 
 :func:`decompose` builds its result by column: per realisation, five
 float lists (``r_plus``, ``r_minus``, ``pi_plus``, ``pi_minus``, ``pi``)
-indexed by node position, each clamped in one pass in rational mode,
-and five lists of support averages, one ``math.fsum`` per node and
-field.  It hands these columns to the one :class:`AtomTable`
-constructor.  The :class:`AtomRow` views of :attr:`AtomTable.pointwise`
-and :attr:`AtomTable.averages` are built only when first read.
+indexed by node position, and five lists of support averages, one
+``math.fsum`` per node and field.  Each sweep also returns its chain, the
+positions it stepped through; every increment off the two chains is an
+exact ``0.0``, so the rational-mode clamp, ``pi`` and the averages of
+the three increment fields are computed at chain positions only, and
+every other cell is ``0.0``, bit for bit what dense arithmetic on zeros
+gives.  The cumulative ``r_plus`` and ``r_minus`` stay dense.  It hands
+these columns to the one :class:`AtomTable` constructor.  The
+:class:`AtomRow` views of :attr:`AtomTable.pointwise` and
+:attr:`AtomTable.averages` are built only when first read.
 
 An :class:`AtomTable` writes itself in all three output formats: CSV
 (:meth:`AtomTable.to_csv`), JSON (:meth:`AtomTable.to_json`) and aligned
 text (:meth:`AtomTable.to_pretty`).  The JSON text is exactly
 ``json.dumps(payload, indent=2, sort_keys=True)`` of
 :meth:`AtomTable.to_json_dict`, written from per-table text templates
-instead of through ``json``'s pure-Python indenting encoder.  The writers
-label nodes with the lattice's precomputed :attr:`Lattice.names`, and
-no code outside this module reads the column layout.
+instead of through ``json``'s pure-Python indenting encoder.  Each writer
+reads every field in one pass over the whole table and renders each
+distinct value once: a table holds few distinct floats (the increment
+columns are mostly ``0.0``, and the cumulative columns repeat a few
+surprisals).  CSV and pretty text print both zeros as ``0``; JSON keeps
+``-0.0`` apart from ``0.0``, which compare equal as dict keys.  The
+writers label nodes with the lattice's precomputed :attr:`Lattice.names`,
+and no code outside this module reads the column layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from array import array
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, groupby
-from operator import mul
+from itertools import chain, groupby, islice
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Union
 
@@ -233,7 +248,9 @@ class AtomTable:
     ``pi_plus``, ``pi_minus`` and ``pi`` (the :class:`AtomRow` fields),
     indexed by node position in lattice order (:attr:`Lattice.nodes`);
     ``average_columns`` holds the five lists of support averages.  The
-    table keeps these lists without copying them.  The writers,
+    table keeps these lists without copying them, and realisations may
+    share a list (``decompose`` shares one sweep's lists between the
+    realisations with the same rank vector).  The writers,
     :meth:`total` and :meth:`pointwise_sums` read the columns and label
     nodes with :attr:`Lattice.names`; :meth:`column` hands one field's
     lists to readers such as the checks.
@@ -375,7 +392,8 @@ class AtomTable:
                 + ["node", "atom", *value_names]
             )
             lines = [",".join(_csv_cell(h) for h in header)]
-            for realisation, columns in self._columns.items():
+            rows = _csv_values(self._columns.values())
+            for realisation in self._columns:
                 prefix = ",".join(
                     _csv_cell(c)
                     for c in (
@@ -385,15 +403,15 @@ class AtomTable:
                     )
                 )
                 lines.extend(
-                    f"{prefix},{cell},{values}"
-                    for cell, values in zip(node_cells, _csv_rows(columns))
+                    f"{prefix},{cell},{row}"
+                    for cell, row in zip(node_cells, islice(rows, len(node_cells)))
                 )
             blocks.append("\n".join(lines))
         if which != "pointwise":
             lines = [",".join(["node", "atom", *value_names])]
             lines.extend(
-                f"{cell},{values}"
-                for cell, values in zip(node_cells, _csv_rows(self._average_columns))
+                f"{cell},{row}"
+                for cell, row in zip(node_cells, _csv_values([self._average_columns]))
             )
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks) + "\n"
@@ -451,18 +469,19 @@ class AtomTable:
         ``average``.  Node maps are filled into one text template per
         table, in sorted key order, with ``repr`` of each value, which is
         what ``json`` writes for a finite float (``decompose`` writes no
-        other); everything else goes through ``json.dumps`` itself, so
-        its escaping is exact.
+        other), taken once per distinct value and sign of zero;
+        everything else goes through ``json.dumps`` itself, so its
+        escaping is exact.
         """
         _check_selection(which)
         head = self._json_head(which)
         text = _dumps(head, 0)
         names = self.lattice.names
         order = sorted(range(len(names)), key=names.__getitem__)
+        texts = _json_texts()
         if "averages" in head:
             template = _node_map_template(names, order, 1)
-            values = _json_values(self._average_columns, order)
-            text = _fill(text, "averages", 0, template % values)
+            text = _fill(text, "averages", 0, template % texts(self._average_columns, order))
         if "pointwise" in head:
             template = _node_map_template(names, order, 3)
             entries = []
@@ -476,7 +495,7 @@ class AtomTable:
                     },
                     2,
                 )
-                atoms = template % _json_values(columns, order)
+                atoms = template % texts(columns, order)
                 entries.append("\n    " + _fill(entry, "atoms", 2, atoms))
             block = "[" + ",".join(entries) + "\n  ]" if entries else "[]"
             text = _fill(text, "pointwise", 0, block)
@@ -502,25 +521,22 @@ class AtomTable:
             f"  {name:<{width}}{labels.get(node, ''):<6}" for name, node in zip(names, self.nodes)
         ]
 
-        def block(title: str, columns: _Columns) -> str:
-            rows = (
-                cell + "".join(f"{v + 0.0:>12.6g}" for v in values)
-                for cell, values in zip(node_cells, zip(*columns))
-            )
-            return "\n".join([title, header, *rows])
+        def block(title: str, rows: Iterable[str]) -> str:
+            return "\n".join([title, header, *map(str.__add__, node_cells, rows)])
 
         schema = self.dist.schema
         blocks: list[str] = []
         if which != "average":
-            for realisation, columns in self._columns.items():
+            rows = _pretty_values(self._columns.values())
+            for realisation in self._columns:
                 preds = ", ".join(
                     f"{n}={v}" for n, v in zip(schema.predictors, realisation.predictors)
                 )
                 target = ",".join(realisation.target)
                 title = f"realisation p={realisation.p}  {preds}  {schema.target}={target}"
-                blocks.append(block(title, columns))
+                blocks.append(block(title, islice(rows, len(node_cells))))
         if which != "pointwise":
-            blocks.append(block("averages", self._average_columns))
+            blocks.append(block("averages", _pretty_values([self._average_columns])))
             blocks.append(f"total information: {float(self.total()):.6g} (base {self.base:g})")
         return "\n\n".join(blocks) + "\n"
 
@@ -534,18 +550,49 @@ def _node_dicts(names: Sequence[str], columns: _Columns) -> dict[str, dict[str, 
     return {name: dict(zip(_FIELDS, values)) for name, values in zip(names, zip(*columns))}
 
 
-def _csv_rows(columns: _Columns) -> list[str]:
+class _Texts(dict):
+    """Each float's text, rendered the first time the float is looked up.
+
+    Keys compare as floats, so ``0.0`` and ``-0.0`` share one text.
+    """
+
+    def __init__(self, render: Callable[[float], str]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = self.render(value)
+        return text
+
+
+def _row_texts(
+    tables: Collection[_Columns], render: Callable[[float], str], sep: str
+) -> Iterator[str]:
+    """The five values of each node of each table, rendered and joined by ``sep``.
+
+    Each field is read in one pass over all the tables, and each distinct
+    value is rendered once.  The texts are made as they are read.
+    """
+    text = _Texts(render).__getitem__
+    fields = [map(text, chain.from_iterable([t[k] for t in tables])) for k in range(5)]
+    return map(sep.join, zip(*fields))
+
+
+def _csv_values(tables: Collection[_Columns]) -> Iterator[str]:
     # Adding 0.0 turns -0.0 into 0.0, so a negative zero prints as "0".
-    return [
-        "%.12g,%.12g,%.12g,%.12g,%.12g" % (a + 0.0, b + 0.0, c + 0.0, d + 0.0, e + 0.0)
-        for a, b, c, d, e in zip(*columns)
-    ]
+    return _row_texts(tables, lambda x: "%.12g" % (x + 0.0), ",")
+
+
+def _pretty_values(tables: Collection[_Columns]) -> Iterator[str]:
+    return _row_texts(tables, lambda x: f"{x + 0.0:>12.6g}", "")
 
 
 # The fields in sorted order, which is how ``json`` writes a node's keys,
 # and the columns they sit in.
 _JSON_FIELDS = tuple(sorted(_FIELDS))
 _JSON_COLUMNS = tuple(map(_FIELDS.index, _JSON_FIELDS))
+# The bits of -0.0, read as a signed 64-bit integer.
+_NEGATIVE_ZERO_BITS = -(1 << 63)
 
 
 def _dumps(payload: object, depth: int) -> str:
@@ -563,10 +610,10 @@ def _fill(text: str, key: str, depth: int, value: str) -> str:
 
 
 def _node_map_template(names: Sequence[str], order: Sequence[int], depth: int) -> str:
-    """A node -> row object nested ``depth`` deep, with ``%r`` for each value."""
+    """A node -> row object nested ``depth`` deep, with ``%s`` for each value's text."""
     outer = "\n" + "  " * (depth + 1)
     inner = outer + "  "
-    fields = ",".join(inner + json.dumps(f) + ": %r" for f in _JSON_FIELDS)
+    fields = ",".join(inner + json.dumps(f) + ": %s" for f in _JSON_FIELDS)
     entries = [
         outer + json.dumps(names[j]).replace("%", "%%") + ": {" + fields + outer + "}"
         for j in order
@@ -574,10 +621,29 @@ def _node_map_template(names: Sequence[str], order: Sequence[int], depth: int) -
     return "{" + ",".join(entries) + "\n" + "  " * depth + "}"
 
 
-def _json_values(columns: _Columns, order: Sequence[int]) -> tuple[float, ...]:
-    """Column values in template order: nodes by ``order``, fields by name."""
-    rows = list(zip(*map(columns.__getitem__, _JSON_COLUMNS)))
-    return tuple(chain.from_iterable(map(rows.__getitem__, order)))
+def _json_texts() -> Callable[[_Columns, Sequence[int]], tuple[str, ...]]:
+    """A function from a table and node order to its values' texts in template order.
+
+    Nodes follow ``order`` and fields their names.  The texts are
+    ``repr``, rendered once per distinct value over all the tables the
+    function is given.
+    """
+    # Both zeros share the memo's text for 0.0; -0.0 is found by its bits.
+    text = _Texts(repr)
+    text[0.0] = "0.0"
+
+    def texts(columns: _Columns, order: Sequence[int]) -> tuple[str, ...]:
+        rows = list(zip(*map(columns.__getitem__, _JSON_COLUMNS)))
+        values = list(chain.from_iterable(map(rows.__getitem__, order)))
+        out = list(map(text.__getitem__, values))
+        bits = array("q", array("d", values).tobytes())
+        at = -1
+        for _ in range(bits.count(_NEGATIVE_ZERO_BITS)):
+            at = bits.index(_NEGATIVE_ZERO_BITS, at + 1)
+            out[at] = "-0.0"
+        return tuple(out)
+
+    return texts
 
 
 def _csv_cell(value: str) -> str:
@@ -587,19 +653,26 @@ def _csv_cell(value: str) -> str:
 
 
 def _sweep(
-    ranks: Sequence[int], surprisal: Sequence[float], lattice: Lattice
-) -> tuple[list[float], list[float]]:
-    """Cumulative values and increments of one side at one realisation.
+    ranks: Sequence[int],
+    surprisal: Sequence[float],
+    lattice: Lattice,
+    members: Sequence[Callable[[Sequence[int]], tuple[int, ...]]],
+) -> tuple[list[float], list[float], list[int]]:
+    """Cumulative values, increments and chain positions of one side at one realisation.
 
     ``ranks[m]`` is the rank of the probability of the source event whose
     predictor bitmask is ``m`` (``ranks[0]`` is unused), and
     ``surprisal[k]`` the surprisal of rank ``k``; rank 0 is the most
     probable.  Bit ``m`` stands for that source in the lattice's closure
     masks.  Equal ranks are equal exact probabilities, so ties stay exact
-    and each node's value is the surprisal of its best-ranked member.
+    and each node's value is the surprisal of its best-ranked member;
+    ``members[j]`` picks the ranks of node ``j``'s members.  The chain
+    lists the positions the sweep steps through; every other increment
+    is an exact ``0.0``.
     """
     node_at = lattice.node_at
     increments = [0.0] * len(lattice.nodes)
+    chain = []
     surviving = (1 << len(ranks)) - 2
     previous = 0.0
     order = sorted(range(1, len(ranks)), key=ranks.__getitem__)
@@ -607,32 +680,46 @@ def _sweep(
         value = surprisal[k]
         # The sources left are those at least this surprising: an up-set,
         # hence the closure of one node, which carries the whole step.
-        increments[node_at[surviving]] = value - previous
+        j = node_at[surviving]
+        increments[j] = value - previous
+        chain.append(j)
         previous = value
         for m in group:
             surviving &= ~(1 << m)
-    cumulative = [surprisal[min(map(ranks.__getitem__, m))] for m in lattice.member_masks]
-    return cumulative, increments
+    cumulative = [surprisal[min(pick(ranks))] for pick in members]
+    return cumulative, increments, chain
 
 
 def _side(
     dist: JointDistribution, lattice: Lattice, slots: tuple[int, ...], base: float
-) -> Callable[..., tuple[list[float], list[float]]]:
+) -> Callable[..., tuple[list[float], list[float], list[int]]]:
     """The sweep of one side, conditional on the realised target ``slots``.
 
     The returned function takes a realisation and its labels at each of
     :func:`source_events`; its node values equal ``rmin_*``'s exactly.
     The ranks come from the distribution's memo
     (:meth:`JointDistribution.ranked_conditionals`), and each distinct
-    probability takes one logarithm.
+    probability takes one logarithm.  A sweep depends only on its rank
+    vector, so each distinct vector is swept once and realisations that
+    share it share the returned lists.
     """
     masses, tables = dist.ranked_conditionals(slots)
     surprisal = [-log_of(p, base) for p in masses]
+    # ``itemgetter`` of one index returns the item itself, not a tuple, so
+    # a one-member node reads its member twice.
+    members = [
+        itemgetter(*masks) if len(masks) > 1 else itemgetter(masks[0], masks[0])
+        for masks in lattice.member_masks
+    ]
+    swept: dict[tuple[int, ...], tuple[list[float], list[float], list[int]]] = {}
 
     def evaluate(realisation, labels):
         given = tuple(realisation.target[k] for k in slots)
-        ranks = [0] + [table[own + given] for table, own in zip(tables, labels)]
-        return _sweep(ranks, surprisal, lattice)
+        ranks = (0, *[table[own + given] for table, own in zip(tables, labels)])
+        result = swept.get(ranks)
+        if result is None:
+            result = swept[ranks] = _sweep(ranks, surprisal, lattice, members)
+        return result
 
     return evaluate
 
@@ -667,32 +754,55 @@ def decompose(
     minus_side = _side(dist, lattice, schema.component_slots(), base)
     events = source_events(dist.n)
     support = dist.support
+    size = len(lattice.nodes)
     columns: dict[Realisation, _Columns] = {}
+    # Every increment off the two chains is an exact 0.0, so the
+    # arithmetic below touches only chain positions.
+    touched: set[int] = set()
     for realisation in support:
         labels = [realisation.source_labels(a) for a in events]
-        r_plus, pi_plus = plus_side(realisation, labels)
-        r_minus, pi_minus = minus_side(realisation, labels)
+        r_plus, pi_plus, plus_chain = plus_side(realisation, labels)
+        r_minus, pi_minus, minus_chain = minus_side(realisation, labels)
         if clamp:
-            pi_plus = _clamped(pi_plus)
-            pi_minus = _clamped(pi_minus)
-            pi = _clamped([a - b for a, b in zip(pi_plus, pi_minus)])
-        else:
-            pi = [a - b for a, b in zip(pi_plus, pi_minus)]
+            pi_plus = _clamped(pi_plus, plus_chain)
+            pi_minus = _clamped(pi_minus, minus_chain)
+        union = {*plus_chain, *minus_chain}
+        pi = [0.0] * size
+        for j in union:
+            pi[j] = pi_plus[j] - pi_minus[j]
+        if clamp:
+            pi = _clamped(pi, union)
+        touched |= union
         columns[realisation] = (r_plus, r_minus, pi_plus, pi_minus, pi)
 
     weights = [float(r.p) for r in support]
-    averages = tuple(
-        [math.fsum(map(mul, weights, values)) for values in zip(*field)]
-        for field in zip(*columns.values())
-    )
+    rows = list(columns.values())
+    averages = []
+    # r_plus and r_minus are dense; the increment fields are 0.0 at every
+    # node no chain touched.
+    for k, positions in enumerate([range(size)] * 2 + [touched] * 3):
+        field = [row[k] for row in rows]
+        average = [0.0] * size
+        for j in positions:
+            average[j] = math.fsum(map(mul, weights, [values[j] for values in field]))
+        averages.append(average)
     if clamp:
-        averages = tuple(map(_clamped, averages))
-    return AtomTable(dist, lattice, target_components, given, base, columns, averages)
+        averages = [_clamped(values, range(size)) for values in averages]
+    return AtomTable(dist, lattice, target_components, given, base, columns, tuple(averages))
 
 
-def _clamped(values: list[float]) -> list[float]:
-    """``values`` with every magnitude below :data:`ZERO_CLAMP` made an exact zero."""
-    return [0.0 if -ZERO_CLAMP < x < ZERO_CLAMP else x for x in values]
+def _clamped(values: list[float], positions: Iterable[int]) -> list[float]:
+    """``values`` with each magnitude below :data:`ZERO_CLAMP` at ``positions`` an exact zero.
+
+    Returns ``values`` itself when no value changes, else a changed copy,
+    so a list that realisations share is never written to.
+    """
+    small = [j for j in positions if -ZERO_CLAMP < values[j] < ZERO_CLAMP]
+    if small:
+        values = values.copy()
+        for j in small:
+            values[j] = 0.0
+    return values
 
 
 @dataclass(frozen=True)

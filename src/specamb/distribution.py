@@ -103,6 +103,8 @@ __all__ = [
 
 Label = str
 TargetEvent = tuple[Label, ...]
+# Labels by 1-based predictor position and by target slot.
+ResolvedEvent = tuple[dict[int, Label], dict[int, Label]]
 Mode = Literal["rational", "decimal"]
 
 DECIMAL_MASS_TOL = 1e-9
@@ -301,13 +303,15 @@ class VariableSchema:
             raise SchemaError(f"no target components declared, got {name!r}")
         return self.component_slots((name,))[0]
 
-    def resolve(self, assignment: Assignment) -> tuple[dict[int, Label], dict[int, Label]]:
+    def resolve(self, assignment: Assignment) -> ResolvedEvent:
         """Split a name-keyed assignment into labels by position.
 
         Keys are predictor names, target component names, or the target
         name itself, whose value may be the event tuple or the
         comma-joined label.  Returns the labels by 1-based predictor
-        position, as in :class:`SourceEvent`, and by target slot.
+        position, as in :class:`SourceEvent`, and by target slot.  The
+        target and one of its components that disagree on a label make a
+        contradicting event, which is a :class:`MassError`.
         """
         by_predictor: dict[int, Label] = {}
         by_component: dict[int, Label] = {}
@@ -324,13 +328,26 @@ class VariableSchema:
                 if len(event) != arity:
                     raise SchemaError(f"target event {value!r} has the wrong arity")
                 for k, label in enumerate(event):
-                    _merge_constraint(by_component, k, label)
+                    _merge_label(by_component, k, label, self.component_names[k])
             else:
                 (k,) = self.component_slots((name,))
                 if not isinstance(value, str):
                     raise SchemaError(f"component {name!r} takes a single label")
-                _merge_constraint(by_component, k, value)
+                _merge_label(by_component, k, value, name)
         return by_predictor, by_component
+
+    def joined(self, event: ResolvedEvent, given: ResolvedEvent) -> ResolvedEvent:
+        """``event`` and ``given``, both as :meth:`resolve` returns them, as one event.
+
+        A variable the two label differently is a :class:`MassError` that
+        names it, as in :meth:`resolve`: such an event has zero probability.
+        """
+        predictors, components = dict(given[0]), dict(given[1])
+        for i, label in event[0].items():
+            _merge_label(predictors, i, label, self.predictors[i - 1])
+        for k, label in event[1].items():
+            _merge_label(components, k, label, self.component_names[k])
+        return predictors, components
 
     def target_arity(self) -> int:
         """Number of component labels in a target event."""
@@ -734,28 +751,24 @@ class JointDistribution:
         """Marginal over the named variables (schema order is kept).
 
         ``variables`` may name predictors, target components, or the target
-        itself.  If the target (or any component) is excluded the result has
-        no target and supports only plain probability queries.
+        itself, each at most once; component names go through
+        :meth:`VariableSchema.component_slots`.  If the target (or any
+        component) is excluded the result has no target and supports only
+        plain probability queries.
         """
         schema = self.schema
-        wanted = set(variables)
-        for name in wanted:
-            if name in schema.predictors:
-                continue
-            if schema.target is not None and name == schema.target:
-                continue
-            if schema.target_components is not None and name in schema.target_components:
-                continue
-            raise SchemaError(f"unknown variable {name!r}")
-        keep_preds = [i for i, name in enumerate(schema.predictors) if name in wanted]
-        if schema.target is not None and schema.target in wanted:
-            keep_comps = list(range(self.schema.target_arity()))
-        elif schema.target_components is not None:
-            keep_comps = [
-                k for k, name in enumerate(schema.target_components) if name in wanted
-            ]
-        else:
-            keep_comps = []
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise SchemaError(f"repeated variables in {variables!r}")
+        keep_preds = [i for i, name in enumerate(schema.predictors) if name in variables]
+        components = [name for name in variables if name not in schema.predictors]
+        whole = schema.target is not None and schema.target in components
+        if whole:
+            components.remove(schema.target)
+        if components and schema.target is None:
+            raise SchemaError(f"unknown variable {components[0]!r}")
+        slots = schema.component_slots(components)
+        keep_comps = list(schema.component_slots() if whole else slots)
         if not keep_preds and not keep_comps:
             raise SchemaError("a marginal needs at least one variable")
         return self._project(keep_preds, keep_comps)
@@ -831,10 +844,18 @@ def _reduced_target(
     return schema.target, kept
 
 
-def _merge_constraint(constraints: dict[int, Label], key: int, value: Label) -> None:
-    if key in constraints and constraints[key] != value:
-        raise SchemaError("conflicting constraints on one target component")
-    constraints[key] = value
+def _merge_label(labels: dict[int, Label], key: int, value: Label, name: str) -> None:
+    """Set ``labels[key]`` to ``value`` for the variable ``name``.
+
+    Another label already there makes a contradicting event, which has
+    zero probability: a :class:`MassError`.
+    """
+    held = labels.setdefault(key, value)
+    if held != value:
+        raise MassError(
+            f"the event gives {name!r} both the label {held!r} and {value!r}, "
+            "so it has zero probability"
+        )
 
 
 def _split_target(value: str, arity: int) -> TargetEvent:

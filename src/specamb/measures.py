@@ -43,6 +43,7 @@ from specamb.distribution import (
     JointDistribution,
     MassError,
     Realisation,
+    ResolvedEvent,
     SourceEvent,
 )
 
@@ -105,14 +106,9 @@ def log_of(p: Fraction, base: float) -> float:
     return bits / math.log2(base)
 
 
-# A partial event by position: labels keyed by 1-based predictor position
-# and by target slot.
-_Event = tuple[dict[int, str], dict[int, str]]
-
-
 def _realised(
     realisation: Realisation, sources: Iterable[SourceEvent], slots: Iterable[int]
-) -> _Event:
+) -> ResolvedEvent:
     """The labels ``realisation`` takes at the positions of ``sources`` and at ``slots``."""
     predictors: dict[int, str] = {}
     for source in sources:
@@ -120,7 +116,7 @@ def _realised(
     return predictors, {k: realisation.target[k] for k in slots}
 
 
-def _mass(dist: JointDistribution, event: _Event) -> Fraction:
+def _mass(dist: JointDistribution, event: ResolvedEvent) -> Fraction:
     """The exact joint mass of ``event``: one :meth:`JointDistribution.joint_masses` entry."""
     predictors, components = event
     positions = tuple(sorted(predictors))
@@ -131,23 +127,21 @@ def _mass(dist: JointDistribution, event: _Event) -> Fraction:
     return dist.joint_masses(positions, slots).get(labels, Fraction(0))
 
 
-def _conditional(dist: JointDistribution, event: _Event, given: _Event) -> Fraction:
+def _conditional(
+    dist: JointDistribution, event: ResolvedEvent, given: ResolvedEvent
+) -> Fraction:
     """``p(event | given)``, the ratio of the joint masses of both and of ``given``.
 
     An event that gives a variable another label than ``given`` does has
-    zero probability.  With nothing given the denominator is the total
-    mass, so decimal-mode tables that sum to 1 within rounding are
-    normalised as the engine does.
+    zero probability, a :class:`MassError` that names the variable
+    (:meth:`VariableSchema.joined`).  With nothing given the denominator
+    is the total mass, so decimal-mode tables that sum to 1 within
+    rounding are normalised as the engine does.
     """
     denominator = _mass(dist, given)
     if denominator == 0:
         raise MassError("the conditioning event has zero probability")
-    joint = []
-    for own, held in zip(event, given):
-        if any(held.get(k, label) != label for k, label in own.items()):
-            return Fraction(0)
-        joint.append({**own, **held})
-    return _mass(dist, tuple(joint)) / denominator
+    return _mass(dist, dist.schema.joined(event, given)) / denominator
 
 
 def pointwise_entropy(
@@ -175,8 +169,9 @@ def pointwise_conditional_entropy(
 ) -> InfoValue:
     """Conditional surprisal ``h(event | given)``.
 
-    An ``event`` that contradicts ``given`` has zero probability, so its
-    surprisal is a :class:`MassError`.
+    An ``event`` that contradicts ``given``, or itself, has zero
+    probability, so its surprisal is a :class:`MassError` that names the
+    variable.
     """
     validate_base(base)
     schema = dist.schema

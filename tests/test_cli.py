@@ -54,6 +54,20 @@ class TestDecompose:
             "{12},C,2,1,1,0,1\n"
         )
 
+    def test_matches_golden_hashes(self, runner):
+        # SHA-256 of ``decompose --corpus NAME --format F`` for every
+        # corpus entry in every format, captured before the sweep was
+        # memoised by rank vector and the writers rendered each distinct
+        # value once; CI checks the installed script against the same file.
+        lines = (GOLDEN / "decompose.sha256").read_text().splitlines()
+        assert len(lines) == 21
+        for line in lines:
+            digest, filename = line.split()
+            name, fmt = filename.removeprefix("decompose-").split(".")
+            result = invoke(runner, "decompose", "--corpus", name, "--format", fmt)
+            assert result.exit_code == 0
+            assert hashlib.sha256(result.output.encode()).hexdigest() == digest, filename
+
     def test_output_is_deterministic(self, runner):
         args = ("decompose", "--corpus", "and", "--format", "json")
         assert invoke(runner, *args).output == invoke(runner, *args).output

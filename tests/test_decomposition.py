@@ -5,9 +5,11 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from specamb import decomposition
 from specamb.corpus import build
 from specamb.decomposition import (
     coarsening_invariance_report,
@@ -119,6 +121,34 @@ class TestDecompose:
             for row in rows.values():
                 assert row.pi_minus == 0.0
                 assert not str(row.pi_minus).startswith("-")
+
+    def test_each_distinct_rank_vector_is_swept_once(self, monkeypatch):
+        # A full-support binary n = 4 input whose weights 1..32 give the 16
+        # predictor events distinct masses: the specificity side has one
+        # rank vector per predictor event (16), the ambiguity side one per
+        # row (32), so 48 sweeps serve the 64 realisation-sides.
+        cells = list(product("01", repeat=5))
+        total = len(cells) * (len(cells) + 1) // 2
+        dist = JointDistribution.from_rows(
+            [(Fraction(k, total), cell[:4], cell[4]) for k, cell in enumerate(cells, 1)],
+            predictors=("s1", "s2", "s3", "s4"),
+            target="t",
+        )
+        sweep = decomposition._sweep
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(decomposition, "_sweep", counted)
+        table = decompose(dist)
+        assert len(calls) == 48
+        # Rows that differ only in the target share their specificity lists.
+        first, second = dist.support[:2]
+        assert first.predictors == second.predictors
+        assert table.column("r_plus")[first] is table.column("r_plus")[second]
+        assert table.column("r_minus")[first] is not table.column("r_minus")[second]
 
     def test_lattice_cap_guard(self):
         rows = [("1/32", tuple(f"{b:05b}"), f"{b % 2}") for b in range(32)]

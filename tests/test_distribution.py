@@ -348,7 +348,8 @@ class TestComponentNames:
         schema = self.composite().schema
         assert schema.resolve({"s": "1", "t3": "0"}) == ({1: "1"}, {2: "0"})
         assert schema.resolve({"t": "0,1,0", "t2": "1"}) == ({}, {0: "0", 1: "1", 2: "0"})
-        with pytest.raises(SchemaError):
+        # The target and a component that disagree: a zero-mass event.
+        with pytest.raises(MassError, match="'t2' both the label '1' and '0'"):
             schema.resolve({"t": "0,1,0", "t2": "0"})
         with pytest.raises(SchemaError):
             xor().marginal(("s1",)).schema.resolve({"t": "0"})
@@ -365,6 +366,22 @@ class TestTransforms:
         sub = xor().marginal(("s1", "s2"))
         assert sub.schema.target is None
         assert sub.probability({"s1": "0", "s2": "1"}) == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "names", [("s1", "s2", "s1"), ("t1", "t1", "s1")], ids=["predictor", "component"]
+    )
+    def test_marginal_rejects_a_repeated_name(self, names):
+        with pytest.raises(SchemaError, match="repeated"):
+            build("tbc").marginal(names)
+
+    def test_marginal_resolves_components_like_component_slots(self):
+        dist = build("tbc")
+        assert dist.marginal(("t3", "s1", "t1")).schema.target_components == ("t1", "t3")
+        assert dist.marginal(("t", "t2")).schema.target_components == ("t1", "t2", "t3")
+        with pytest.raises(SchemaError, match="unknown target component 't9'"):
+            dist.marginal(("s1", "t9"))
+        with pytest.raises(SchemaError, match="unknown variable 't'"):
+            xor().marginal(("s1",)).marginal(("s1", "t"))
 
     def test_marginal_needs_a_variable(self):
         with pytest.raises(SchemaError):

@@ -126,6 +126,24 @@ class TestConflictingLabels:
         with pytest.raises(MassError):
             pointwise_conditional_entropy(dist(), event, given)
 
+    @pytest.mark.parametrize(
+        "entropy",
+        [
+            lambda d: pointwise_entropy(d, {"t": "0,0,0", "t1": "1"}),
+            lambda d: d.probability({"t": "0,0,0", "t1": "1"}),
+            lambda d: pointwise_conditional_entropy(d, {"t1": "1"}, {"t": "0,0,0"}),
+        ],
+        ids=["one-dict", "probability", "two-dicts"],
+    )
+    def test_both_layouts_raise_one_error_naming_the_variable(self, entropy):
+        # The same contradicting labels, in one assignment or split over
+        # the event and its conditioning, give the same MassError.
+        with pytest.raises(MassError) as raised:
+            entropy(tbc())
+        assert str(raised.value) == (
+            "the event gives 't1' both the label '0' and '1', so it has zero probability"
+        )
+
     def test_agreeing_labels_condition_on_nothing_new(self):
         value = pointwise_conditional_entropy(tbc(), {"t1": "1"}, {"t": ("1", "0", "1")})
         assert float(value) == 0.0

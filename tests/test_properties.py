@@ -742,6 +742,38 @@ def test_ranked_sweep_and_columns_match_row_by_row_reference(
         table.averages[node] = reference.averages[node]
 
 
+@pytest.mark.parametrize("mode", ["rational", "decimal"])
+def test_negative_zeros_print_as_the_reference_does(mode):
+    # s1 is a function of the target, so p(s1 | t) = 1 and r_minus holds
+    # -0.0; s2 is constant, so p(s2) = 1 and r_plus holds -0.0 too, as
+    # does the first increment of each specificity sweep before the
+    # rational-mode clamp.  JSON keeps the sign of each zero; CSV and
+    # pretty text print 0.
+    masses = ("1/8", "3/8", "1/4", "1/4") if mode == "rational" else (
+        "0.125", "0.375", "0.25", "0.25"
+    )
+    cells = [("a", "c", "0", "0"), ("a", "c", "1", "0"), ("b", "c", "0", "1"),
+             ("b", "c", "1", "1")]
+    dist = JointDistribution.from_rows(
+        [(p, cell[:3], cell[3]) for p, cell in zip(masses, cells)],
+        predictors=("s1", "s2", "s3"),
+        target="t",
+        mode=mode,
+    )
+    table = decompose(dist)
+    reference = cover_reference(dist, (), 2.0)
+    for which in ("both", "pointwise", "average"):
+        assert table.to_csv(which) == reference.to_csv(which)
+        assert table.to_json(which) == reference.to_json(which)
+        assert table.to_pretty(which) == reference.to_pretty(which)
+    text = table.to_json()
+    assert '"r_minus": -0.0' in text and '"r_plus": -0.0' in text
+    assert '"r_minus": 0.0' in text
+    assert ('"pi_plus": -0.0' in text) == (mode == "decimal")
+    cells = table.to_csv().replace("\n", ",").split(",")
+    assert "0" in cells and "-0" not in cells
+
+
 def integer_layer_distribution(rng, n, arity, family):
     """4 to 12 rows over ``n`` predictors and ``arity`` target components.
 
